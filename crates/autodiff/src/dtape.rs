@@ -130,15 +130,21 @@ impl DualTape {
     /// Differentiable linear solve against a **constant** prepared operator,
     /// the dual analogue of [`crate::tape::Tape::solve_backend`]. The
     /// tangent solve `x_eps = A⁻¹ b_eps` and both reverse-sweep transpose
-    /// solves reuse the backend's existing factorization.
+    /// solves reuse the backend's existing factorization. The primal and
+    /// tangent right-hand sides go through one
+    /// [`LinearBackend::solve_many`], so a dense factor streams through
+    /// cache once for both; each column equals a standalone `solve`
+    /// bitwise.
     pub fn solve_backend<'t>(
         &'t self,
         be: &Arc<dyn LinearBackend>,
         b: DVar<'t>,
     ) -> Result<DVar<'t>, LinalgError> {
         let (bre, beps) = self.parts_of(b.idx);
-        let xre = be.solve(&tensor::to_dvec(&bre))?;
-        let xeps = be.solve(&tensor::to_dvec(&beps))?;
+        let [xre, xeps]: [_; 2] = be
+            .solve_many(&[tensor::to_dvec(&bre), tensor::to_dvec(&beps)])?
+            .try_into()
+            .expect("solve_many returns one solution per right-hand side");
         let idx = self.push(
             DOp::SolveConst {
                 be: Arc::clone(be),

@@ -1,8 +1,9 @@
 //! The hot-path perf suite behind `BENCH_perf.json`.
 //!
-//! Times the named kernels of the meshfree substrate (dense LU factor and
-//! solve, sparse SpMV, RBF-FD assembly, preconditioned GMRES, one DAL and
-//! one DP Laplace gradient iteration, one Navier–Stokes Picard sweep) with
+//! Times the named kernels of the meshfree substrate (dense LU factor,
+//! solve, transpose solve and one-column `solve_many`, sparse SpMV,
+//! RBF-FD assembly, preconditioned GMRES, one DAL and one DP Laplace
+//! gradient iteration, one Navier–Stokes Picard sweep) with
 //! warmup + median-of-N repetitions ([`meshfree_runtime::stats`]) and
 //! serialises the results through the same hand-rolled JSON layer as the
 //! golden snapshots ([`check::golden::GoldenSnapshot`]).
@@ -33,6 +34,11 @@
 //!   ≥2× scaling requirement on ≥8-core machines, degrading to a
 //!   0.5× pool-overhead sanity bound on single-core runners (where no
 //!   true speedup is physically possible).
+//!
+//! One more hard gate, on the main suite and likewise enforced at both
+//! times: `lu_solve_many_w1.median_ns` may be at most
+//! [`SOLVE_MANY_W1_MAX_RATIO`]× `lu_solve.median_ns`, so a lone request
+//! through the batched solve pays what a plain solve pays.
 //!
 //! Usage:
 //!
@@ -83,6 +89,8 @@ use std::process::ExitCode;
 const REQUIRED_KERNELS: &[&str] = &[
     "lu_factor",
     "lu_solve",
+    "lu_solve_transpose",
+    "lu_solve_many_w1",
     "matmul",
     "spmv",
     "rbf_fd_assembly",
@@ -101,6 +109,13 @@ const REQUIRED_KERNELS: &[&str] = &[
     "ns_saddle_assembly_fd",
     "gmres_schur_ns",
 ];
+
+/// Hard gate: one right-hand side through `Lu::solve_many` may cost at
+/// most this multiple of a plain `Lu::solve` (`lu_solve_many_w1` against
+/// `lu_solve`, same factor and right-hand side). The serve batcher sends
+/// every eval through `solve_many`, so a lone request must not pay for the
+/// batch path.
+const SOLVE_MANY_W1_MAX_RATIO: f64 = 1.1;
 
 /// Kernels the thread sweep re-times at every pool width.
 const SWEPT_KERNELS: &[&str] = &["lu_factor", "matmul", "gmres_ilu0_laplace"];
@@ -339,14 +354,34 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     );
     let lu = Lu::factor(&a).expect("lu_factor");
     let mut x = DVec::zeros(0);
+    let solve_reps = sz.reps.max(31);
+    let solve = time_kernel(sz.warmup, solve_reps, || {
+        lu.solve_into(&b, &mut x).expect("lu_solve");
+        std::hint::black_box(&x);
+    });
+    snap = record(snap, "lu_solve", n, solve);
     snap = record(
         snap,
-        "lu_solve",
+        "lu_solve_transpose",
         n,
-        time_kernel(sz.warmup, sz.reps.max(15), || {
-            lu.solve_into(&b, &mut x).expect("lu_solve");
+        time_kernel(sz.warmup, solve_reps, || {
+            let x = lu.solve_transpose(&b).expect("lu_solve_transpose");
             std::hint::black_box(&x);
         }),
+    );
+    let rhs = [b.clone()];
+    let many_w1 = time_kernel(sz.warmup, solve_reps, || {
+        let x = lu.solve_many(&rhs).expect("lu_solve_many");
+        std::hint::black_box(&x);
+    });
+    snap = record(snap, "lu_solve_many_w1", n, many_w1);
+    let w1_ratio = many_w1.median_ns as f64 / (solve.median_ns as f64).max(1.0);
+    println!("{:>28}  {w1_ratio:.2}x", "solve_many w1 / solve");
+    assert!(
+        w1_ratio <= SOLVE_MANY_W1_MAX_RATIO,
+        "lu_solve_many_w1 ({} ns) must cost at most {SOLVE_MANY_W1_MAX_RATIO}x lu_solve ({} ns)",
+        many_w1.median_ns,
+        solve.median_ns
     );
     let mut bm = DMat::zeros(n, n);
     rng.fill_uniform(bm.as_mut_slice(), -1.0..1.0);
@@ -702,6 +737,17 @@ fn verify_snapshot(text: &str) -> Vec<String> {
         }
         if snap.get_scalar(&format!("{k}.iters")).is_none() {
             problems.push(format!("missing kernel entry: {k}.iters"));
+        }
+    }
+    if let (Some(w1), Some(solve)) = (
+        snap.get_scalar("lu_solve_many_w1.median_ns"),
+        snap.get_scalar("lu_solve.median_ns"),
+    ) {
+        if w1 > SOLVE_MANY_W1_MAX_RATIO * solve {
+            problems.push(format!(
+                "lu_solve_many_w1.median_ns {w1} exceeds {SOLVE_MANY_W1_MAX_RATIO}x \
+                 lu_solve.median_ns {solve}"
+            ));
         }
     }
     match snap.get_scalar("serve_cache_hit_speedup") {

@@ -23,9 +23,16 @@
 //!   ([`dot8`]): eight independent partial sums the compiler keeps in
 //!   SIMD registers, combined in a fixed tree. Eight lanes = one AVX-512
 //!   register or two AVX2 registers of `f64`.
+//!   [`dot8`] also drives the dense triangular solves: every row of
+//!   `Lu::solve`'s forward (L) and back (U) sweeps, and the forward half
+//!   of `Cholesky::solve`, is one `dot8` over the row prefix or suffix,
+//!   so each row's rounding depends on its length alone.
 //! * [`MULTI_RHS_BLOCK`] — column width of `Lu::solve_many`'s blocked
 //!   substitution: wide enough to amortize streaming the `n²` factors,
 //!   small enough that the `n×block` working set stays cache-resident.
+//!   Each block runs [`dot8_cols`], which computes `dot8`'s lane
+//!   structure for every column at once, so a batched column is bitwise
+//!   equal to a standalone `Lu::solve` of it.
 //! * [`PAR_BLOCKS`] — every parallel kernel decomposes its row range
 //!   into *at most this many* fixed blocks (`rows.div_ceil(PAR_BLOCKS)`
 //!   rows each), so chunk boundaries depend only on the problem size,
@@ -66,24 +73,52 @@ pub const REDUCE_BLOCK: usize = 1024;
 /// the ragged tail is added sequentially. The operation order is a pure
 /// function of the slice length — no data-dependent or thread-dependent
 /// branching — so the result is deterministic everywhere it is used.
+/// It is the one-column case of [`dot8_cols`].
 ///
 /// Panics if the slices differ in length.
 #[inline]
 pub fn dot8(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot8: length mismatch");
-    let mut lanes = [0.0f64; SIMD_LANES];
+    let [s] = dot8_cols(a, b.as_chunks::<1>().0);
+    s
+}
+
+/// `W` simultaneous [`dot8`]s of one row `a` against the `W` columns of a
+/// row-major `len × W` block `x`: `out[c] = dot8(a, x[..][c])`.
+///
+/// Each column keeps [`dot8`]'s exact operation order — eight lanes
+/// filled chunk by chunk, the same fixed combination tree, the same
+/// sequential ragged tail — so column `c` of the result is bitwise equal
+/// to a standalone `dot8` of that column. The `W` columns of a lane sit
+/// side by side, which is what the compiler vectorises. This is the
+/// kernel behind `Lu::solve_many`'s [`MULTI_RHS_BLOCK`]-wide substitution.
+///
+/// Panics if `a` and `x` differ in length.
+// Forced inlining: with a plain `#[inline]` the eight-column kernel ran
+// at twice the per-column cost of the narrower ones.
+#[inline(always)]
+pub fn dot8_cols<const W: usize>(a: &[f64], x: &[[f64; W]]) -> [f64; W] {
+    assert_eq!(a.len(), x.len(), "dot8_cols: length mismatch");
+    let mut lanes = [[0.0f64; W]; SIMD_LANES];
     let mut ca = a.chunks_exact(SIMD_LANES);
-    let mut cb = b.chunks_exact(SIMD_LANES);
-    for (pa, pb) in ca.by_ref().zip(cb.by_ref()) {
+    let mut cx = x.chunks_exact(SIMD_LANES);
+    for (pa, px) in ca.by_ref().zip(cx.by_ref()) {
         for l in 0..SIMD_LANES {
-            lanes[l] += pa[l] * pb[l];
+            for c in 0..W {
+                lanes[l][c] += pa[l] * px[l][c];
+            }
         }
     }
-    // Fixed reduction tree: (0+4)+(2+6) then (1+5)+(3+7).
-    let mut s = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
-        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        s += x * y;
+    // Fixed reduction tree per column: (0+4)+(2+6) then (1+5)+(3+7).
+    let mut s = [0.0f64; W];
+    for (c, sc) in s.iter_mut().enumerate() {
+        *sc = ((lanes[0][c] + lanes[4][c]) + (lanes[2][c] + lanes[6][c]))
+            + ((lanes[1][c] + lanes[5][c]) + (lanes[3][c] + lanes[7][c]));
+    }
+    for (av, xr) in ca.remainder().iter().zip(cx.remainder()) {
+        for c in 0..W {
+            s[c] += av * xr[c];
+        }
     }
     s
 }
@@ -145,6 +180,23 @@ mod tests {
     #[should_panic(expected = "dot8: length mismatch")]
     fn dot8_length_mismatch_panics() {
         dot8(&[1.0], &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn dot8_cols_is_bitwise_dot8_per_column() {
+        // Lengths cover the empty slice, a tail-only slice, exact chunks
+        // and ragged tails.
+        for n in [0usize, 1, 7, 8, 9, 17, 131] {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let x: Vec<[f64; 3]> = (0..n)
+                .map(|i| [(i as f64).cos(), 1.0 / (1.0 + i as f64), -(i as f64 * 0.1)])
+                .collect();
+            let s = dot8_cols(&a, &x);
+            for (c, sc) in s.iter().enumerate() {
+                let col: Vec<f64> = x.iter().map(|r| r[c]).collect();
+                assert_eq!(sc.to_bits(), dot8(&a, &col).to_bits(), "n={n} c={c}");
+            }
+        }
     }
 
     #[test]

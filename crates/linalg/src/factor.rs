@@ -1,6 +1,8 @@
 //! Dense factorizations: LU with partial pivoting, Cholesky, Householder QR.
 
-use crate::blocking::{fused_axpy4, LU_TILE, MULAD_UNROLL, PAR_BLOCKS};
+use crate::blocking::{
+    dot8, dot8_cols, fused_axpy4, LU_TILE, MULAD_UNROLL, MULTI_RHS_BLOCK, PAR_BLOCKS,
+};
 use crate::dense::DMat;
 use crate::error::{LinalgError, Result};
 use crate::vector::DVec;
@@ -93,6 +95,11 @@ impl Lu {
     /// overwritten. Use this inside iteration loops (Picard sweeps, per-column
     /// multi-RHS solves) to avoid a fresh allocation per solve. Produces the
     /// same bits as [`Lu::solve`].
+    ///
+    /// Each row of the forward (L) and back (U) sweeps is one [`dot8`] over
+    /// the row prefix or suffix: eight independent multiply-add lanes
+    /// instead of one dependent chain, with the rounding a function of the
+    /// row length alone.
     pub fn solve_into(&self, b: &DVec, x: &mut DVec) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
@@ -103,24 +110,17 @@ impl Lu {
             });
         }
         // Apply permutation, then forward (L, unit diag) and back (U) subs.
-        x.0.resize(n, 0.0);
-        for i in 0..n {
-            x.0[i] = b[self.perm[i]];
-        }
+        x.0.clear();
+        x.0.extend(self.perm.iter().map(|&p| b[p]));
+        let x = x.as_mut_slice();
         for i in 1..n {
-            let mut s = x[i];
-            for (j, &lij) in self.lu.row(i)[..i].iter().enumerate() {
-                s -= lij * x[j];
-            }
-            x[i] = s;
+            let (head, tail) = x.split_at_mut(i);
+            tail[0] -= dot8(&self.lu.row(i)[..i], head);
         }
         for i in (0..n).rev() {
-            let mut s = x[i];
             let row = self.lu.row(i);
-            for j in i + 1..n {
-                s -= row[j] * x[j];
-            }
-            x[i] = s / row[i];
+            let (head, tail) = x.split_at_mut(i + 1);
+            head[i] = (head[i] - dot8(&row[i + 1..], tail)) / row[i];
         }
         Ok(())
     }
@@ -131,6 +131,12 @@ impl Lu {
     /// differentiable-programming reverse pass both solve with the transpose
     /// of the already-factored forward operator, so a run never pays for a
     /// second factorization.
+    ///
+    /// Both sweeps are row-oriented, so the factor is read row by row and
+    /// never down a column: `Uᵀ` is a forward sweep that, once `y[j]` is
+    /// final, subtracts `y[j]` times row `j` of `U` from the entries after
+    /// it (the same operation order as a column-wise dot), and `Lᵀ` is the
+    /// backward twin over row `j` of `L`.
     pub fn solve_transpose(&self, b: &DVec) -> Result<DVec> {
         let n = self.dim();
         if b.len() != n {
@@ -141,26 +147,29 @@ impl Lu {
             });
         }
         let mut y = b.clone();
-        // Forward substitution with Uᵀ (lower triangular, non-unit diag).
-        for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.lu[(j, i)] * y[j];
+        let ys = y.as_mut_slice();
+        // Forward substitution with Uᵀ (lower triangular, non-unit diag):
+        // column j of Uᵀ is row j of U.
+        for j in 0..n {
+            let row = self.lu.row(j);
+            let yj = ys[j] / row[j];
+            ys[j] = yj;
+            for (yi, &u) in ys[j + 1..].iter_mut().zip(&row[j + 1..]) {
+                *yi -= u * yj;
             }
-            y[i] = s / self.lu[(i, i)];
         }
-        // Back substitution with Lᵀ (upper triangular, unit diag).
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= self.lu[(j, i)] * y[j];
+        // Back substitution with Lᵀ (upper triangular, unit diag): column j
+        // of Lᵀ is the strictly-lower part of row j of L.
+        for j in (1..n).rev() {
+            let yj = ys[j];
+            for (yi, &l) in ys[..j].iter_mut().zip(&self.lu.row(j)[..j]) {
+                *yi -= l * yj;
             }
-            y[i] = s;
         }
         // Undo the permutation: x[perm[i]] = y[i].
         let mut x = DVec::zeros(n);
-        for i in 0..n {
-            x[self.perm[i]] = y[i];
+        for (&p, &yi) in self.perm.iter().zip(ys.iter()) {
+            x[p] = yi;
         }
         Ok(x)
     }
@@ -169,12 +178,16 @@ impl Lu {
     /// forward/back substitution: the factors stream through cache once
     /// per block of [`Lu::MULTI_RHS_BLOCK`] columns instead of once per
     /// column, which is where the serve batcher's coalesced same-operator
-    /// requests win their throughput.
+    /// requests win their throughput. A block of one column goes straight
+    /// to [`Lu::solve`], so a lone right-hand side costs what a plain solve
+    /// costs.
     ///
     /// Bitwise contract: every column's floating-point operation sequence
-    /// is identical to a standalone [`Lu::solve`] of that column (columns
-    /// are data-independent; blocking only reorders *between* columns),
-    /// so batched and one-at-a-time answers match exactly.
+    /// is identical to a standalone [`Lu::solve`] of that column. Each
+    /// row runs [`dot8_cols`], which is `dot8`'s lane structure evaluated
+    /// for every column of the block at once (columns are data-independent;
+    /// blocking only interleaves *between* columns), so batched and
+    /// one-at-a-time answers match exactly.
     pub fn solve_many(&self, rhs: &[DVec]) -> Result<Vec<DVec>> {
         let n = self.dim();
         for b in rhs {
@@ -186,55 +199,55 @@ impl Lu {
                 });
             }
         }
+        // Three kernel widths cover every block: 3..=8 columns run the next
+        // wider kernel on zero-padded columns.
+        const _: () = assert!(MULTI_RHS_BLOCK == 8);
         let mut out = Vec::with_capacity(rhs.len());
         for block in rhs.chunks(Lu::MULTI_RHS_BLOCK) {
-            let w = block.len();
-            // Row-major n×w working block: x[i*w + c] is row i of column c.
-            let mut x = vec![0.0; n * w];
-            for (c, b) in block.iter().enumerate() {
-                for i in 0..n {
-                    x[i * w + c] = b[self.perm[i]];
-                }
-            }
-            // Forward substitution with unit-diagonal L, all columns per row.
-            for i in 1..n {
-                let (head, tail) = x.split_at_mut(i * w);
-                let xi = &mut tail[..w];
-                for (j, &lij) in self.lu.row(i)[..i].iter().enumerate() {
-                    let xj = &head[j * w..(j + 1) * w];
-                    for c in 0..w {
-                        xi[c] -= lij * xj[c];
-                    }
-                }
-            }
-            // Back substitution with U.
-            for i in (0..n).rev() {
-                let row = self.lu.row(i);
-                let (head, tail) = x.split_at_mut((i + 1) * w);
-                let xi = &mut head[i * w..];
-                for j in i + 1..n {
-                    let uij = row[j];
-                    let xj = &tail[(j - i - 1) * w..(j - i) * w];
-                    for c in 0..w {
-                        xi[c] -= uij * xj[c];
-                    }
-                }
-                let d = row[i];
-                for v in xi.iter_mut() {
-                    *v /= d;
-                }
-            }
-            for c in 0..w {
-                out.push(DVec::from_fn(n, |i| x[i * w + c]));
+            match block.len() {
+                1 => out.push(self.solve(&block[0])?),
+                2 => self.solve_block::<2>(block, &mut out),
+                3 | 4 => self.solve_block::<4>(block, &mut out),
+                _ => self.solve_block::<MULTI_RHS_BLOCK>(block, &mut out),
             }
         }
         Ok(out)
     }
 
+    /// One block of [`Lu::solve_many`]: the substitutions of
+    /// [`Lu::solve_into`] with every row's `dot8` widened to `W` columns.
+    /// Columns past `block.len()` are zero padding, solved and dropped.
+    fn solve_block<const W: usize>(&self, block: &[DVec], out: &mut Vec<DVec>) {
+        let n = self.dim();
+        // Row-major n×W working block: x[i][c] is row i of column c.
+        let mut x = vec![[0.0; W]; n];
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            for (v, b) in xi.iter_mut().zip(block) {
+                *v = b[p];
+            }
+        }
+        for i in 1..n {
+            let (head, tail) = x.split_at_mut(i);
+            let s = dot8_cols(&self.lu.row(i)[..i], head);
+            for (v, s) in tail[0].iter_mut().zip(s) {
+                *v -= s;
+            }
+        }
+        for i in (0..n).rev() {
+            let row = self.lu.row(i);
+            let (head, tail) = x.split_at_mut(i + 1);
+            let s = dot8_cols(&row[i + 1..], tail);
+            for (v, s) in head[i].iter_mut().zip(s) {
+                *v = (*v - s) / row[i];
+            }
+        }
+        out.extend((0..block.len()).map(|c| DVec::from_fn(n, |i| x[i][c])));
+    }
+
     /// Column-block width of [`Lu::solve_many`]; see
     /// [`blocking::MULTI_RHS_BLOCK`](crate::blocking::MULTI_RHS_BLOCK),
     /// where all dense blocking constants now live.
-    pub const MULTI_RHS_BLOCK: usize = crate::blocking::MULTI_RHS_BLOCK;
+    pub const MULTI_RHS_BLOCK: usize = MULTI_RHS_BLOCK;
 
     /// Solves `A X = B` column by column.
     ///
@@ -501,7 +514,9 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// Solves `A x = b` via two triangular solves.
+    /// Solves `A x = b` via two triangular solves, both reading `L` row by
+    /// row: the forward sweep runs each row as one [`dot8`], the `Lᵀ` back
+    /// sweep subtracts `x[j]` times row `j` of `L` once `x[j]` is final.
     pub fn solve(&self, b: &DVec) -> Result<DVec> {
         let n = self.l.nrows();
         if b.len() != n {
@@ -512,19 +527,19 @@ impl Cholesky {
             });
         }
         let mut y = b.clone();
+        let ys = y.as_mut_slice();
         for i in 0..n {
-            let mut s = y[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * y[j];
-            }
-            y[i] = s / self.l[(i, i)];
+            let row = self.l.row(i);
+            let (head, tail) = ys.split_at_mut(i);
+            tail[0] = (tail[0] - dot8(&row[..i], head)) / row[i];
         }
-        for i in (0..n).rev() {
-            let mut s = y[i];
-            for j in i + 1..n {
-                s -= self.l[(j, i)] * y[j];
+        for j in (0..n).rev() {
+            let row = self.l.row(j);
+            let yj = ys[j] / row[j];
+            ys[j] = yj;
+            for (yi, &l) in ys[..j].iter_mut().zip(&row[..j]) {
+                *yi -= l * yj;
             }
-            y[i] = s / self.l[(i, i)];
         }
         Ok(y)
     }
@@ -735,18 +750,23 @@ mod tests {
 
     #[test]
     fn solve_many_is_bitwise_identical_to_column_loop() {
-        // More columns than MULTI_RHS_BLOCK so the chunking path runs, and
+        // Every width up to two full blocks plus one, so each block
+        // width's kernel, the one-column path and the chunking all run, on
         // a system large enough that pivoting genuinely permutes rows.
         let n = 60;
         let a = random_like_matrix(n, 13);
         let lu = Lu::factor(&a).unwrap();
-        let rhs: Vec<DVec> = (0..Lu::MULTI_RHS_BLOCK + 3)
-            .map(|k| DVec::from_fn(n, |i| ((i * 7 + k * 13) % 23) as f64 * 0.4 - 3.0))
-            .collect();
-        let batched = lu.solve_many(&rhs).unwrap();
-        assert_eq!(batched.len(), rhs.len());
-        for (b, x) in rhs.iter().zip(&batched) {
-            assert_eq!(x.as_slice(), lu.solve(b).unwrap().as_slice());
+        let bits = |v: &DVec| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for w in 1..=2 * Lu::MULTI_RHS_BLOCK + 1 {
+            let rhs: Vec<DVec> = (0..w)
+                .map(|k| DVec::from_fn(n, |i| ((i * 7 + k * 13) % 23) as f64 * 0.4 - 3.0))
+                .collect();
+            let batched = lu.solve_many(&rhs).unwrap();
+            assert_eq!(batched.len(), rhs.len());
+            for (k, (b, x)) in rhs.iter().zip(&batched).enumerate() {
+                let single = lu.solve(b).unwrap();
+                assert_eq!(bits(x), bits(&single), "width {w}, column {k}");
+            }
         }
     }
 
@@ -829,6 +849,38 @@ mod tests {
                 let x_naive = naive_lu_solve(&a, &b);
                 let rel = (&x_tiled - &x_naive).norm2() / x_naive.norm2().max(1e-300);
                 assert!(rel <= 1e-13, "n={n} seed={seed}: rel diff {rel}");
+            }
+        }
+    }
+
+    fn rel_diff(x: &DVec, reference: &DVec) -> f64 {
+        (x - reference).norm2() / reference.norm2().max(1e-300)
+    }
+
+    #[test]
+    fn triangular_solves_match_naive_reference() {
+        // Sizes around dot8's eight lanes: a tail-only row, an exact
+        // chunk, ragged tails, and the empty prefix/suffix of the first
+        // and last rows.
+        for n in [1, 2, 7, 8, 9, 17, 131] {
+            for seed in [2u64, 6] {
+                let a = random_like_matrix(n, seed);
+                let at = a.transpose();
+                let b = DVec::from_fn(n, |i| ((i * 5 + 3) % 11) as f64 - 4.0 + 0.5);
+                let lu = Lu::factor(&a).unwrap();
+                let rel = rel_diff(&lu.solve(&b).unwrap(), &naive_lu_solve(&a, &b));
+                assert!(rel <= 1e-13, "solve n={n} seed={seed}: rel diff {rel}");
+                let xt = lu.solve_transpose(&b).unwrap();
+                let rel = rel_diff(&xt, &naive_lu_solve(&at, &b));
+                assert!(
+                    rel <= 1e-13,
+                    "solve_transpose n={n} seed={seed}: rel diff {rel}"
+                );
+                let rel = rel_diff(&xt, &Lu::factor(&at).unwrap().solve(&b).unwrap());
+                assert!(
+                    rel <= 1e-13,
+                    "solve_transpose vs factored Aᵀ n={n} seed={seed}: {rel}"
+                );
             }
         }
     }
