@@ -100,6 +100,14 @@ pub struct LaplaceRun {
 ///   gradient is affine in the control — so the Newton system solved is
 ///   `J_dal p = −g_dal`, whose fixed point is the DAL stationary point.
 ///
+/// Newton-CG asks for the whole `n_c × n_c` Hessian once per step
+/// ([`CurvatureOracle::hessian`]). For DAL the oracle answers it in one
+/// batch: all `2·n_c` difference points go through
+/// [`LaplaceControlProblem::cost_and_grad_dal_many`], one blocked solve
+/// pass forward and one adjoint, and the columns equal `n_c` separate
+/// [`CurvatureOracle::hvp`] probes bit for bit. DP keeps the default
+/// probe loop over its exact HVP.
+///
 /// Every query reuses the problem's cached factorization.
 struct LaplaceOracle<'a> {
     problem: &'a LaplaceControlProblem,
@@ -108,33 +116,55 @@ struct LaplaceOracle<'a> {
 }
 
 impl LaplaceOracle<'_> {
-    /// The weighted DAL gradient (what a second-order DAL run steps on).
-    fn dal_weighted_grad(&self, c: &DVec) -> Option<DVec> {
-        let (_, g) = self.problem.cost_and_grad_dal(c).ok()?;
+    /// DAL curvature along each direction: central differences, with
+    /// `h = 1e-5 / max(1 + ‖v‖∞, 1)`, of the weighted DAL gradient, every
+    /// difference point solved in one batch.
+    fn dal_hvps(&self, dirs: &[DVec]) -> Option<Vec<DVec>> {
+        let steps: Vec<f64> = dirs
+            .iter()
+            .map(|v| 1e-5 / (1.0 + v.norm_inf()).max(1.0))
+            .collect();
+        let mut points = Vec::with_capacity(2 * dirs.len());
+        for (v, &h) in dirs.iter().zip(&steps) {
+            for sign in [1.0, -1.0] {
+                let mut c = self.x.clone();
+                c.axpy(sign * h, v);
+                points.push(c);
+            }
+        }
+        let grads = self.problem.cost_and_grad_dal_many(&points).ok()?;
         let w = self.problem.quad_weights();
-        Some(DVec::from_fn(g.len(), |i| w[i] * g[i]))
+        grads
+            .chunks(2)
+            .zip(&steps)
+            .map(|(pair, &h)| {
+                let (gp, gm) = (&pair[0].1, &pair[1].1);
+                let hv = DVec::from_fn(gp.len(), |i| (w[i] * gp[i] - w[i] * gm[i]) / (2.0 * h));
+                (!hv.has_non_finite()).then_some(hv)
+            })
+            .collect()
     }
 }
 
 impl CurvatureOracle for LaplaceOracle<'_> {
     fn hvp(&mut self, v: &DVec) -> Option<DVec> {
-        let hv = match self.method {
-            GradMethod::Dal => {
-                let h = 1e-5 / (1.0 + v.norm_inf()).max(1.0);
-                let mut cp = self.x.clone();
-                cp.axpy(h, v);
-                let mut cm = self.x.clone();
-                cm.axpy(-h, v);
-                let gp = self.dal_weighted_grad(&cp)?;
-                let gm = self.dal_weighted_grad(&cm)?;
-                DVec::from_fn(gp.len(), |i| (gp[i] - gm[i]) / (2.0 * h))
-            }
+        match self.method {
+            GradMethod::Dal => self.dal_hvps(std::slice::from_ref(v))?.pop(),
             GradMethod::Dp | GradMethod::FiniteDiff => {
                 let (_, _, hv) = self.problem.cost_grad_hvp(&self.x, v).ok()?;
-                hv
+                (!hv.has_non_finite()).then_some(hv)
             }
-        };
-        (!hv.has_non_finite()).then_some(hv)
+        }
+    }
+
+    fn hessian(&mut self, n: usize) -> Option<Vec<DVec>> {
+        match self.method {
+            GradMethod::Dal => {
+                let units: Vec<DVec> = (0..n).map(|j| DVec::unit(n, j)).collect();
+                self.dal_hvps(&units)
+            }
+            GradMethod::Dp | GradMethod::FiniteDiff => opt::probe_hessian(self, n),
+        }
     }
 
     fn cost_at(&mut self, c: &DVec) -> Option<f64> {
@@ -331,6 +361,24 @@ mod tests {
             newton.report.final_cost,
             adam.report.final_cost
         );
+    }
+
+    #[test]
+    fn dal_hessian_equals_the_default_probe_loop_bitwise() {
+        let p = LaplaceControlProblem::new(12).unwrap();
+        let n = p.n_controls();
+        let mut oracle = LaplaceOracle {
+            problem: &p,
+            method: GradMethod::Dal,
+            x: DVec::from_fn(n, |i| 0.05 * (1.0 + i as f64).sin()),
+        };
+        let batched = oracle.hessian(n).unwrap();
+        let looped = opt::probe_hessian(&mut oracle, n).unwrap();
+        assert_eq!(batched.len(), n);
+        let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (j, (b, l)) in batched.iter().zip(&looped).enumerate() {
+            assert_eq!(bits(b), bits(l), "column {j}");
+        }
     }
 
     #[test]

@@ -21,6 +21,13 @@ impl DVec {
         DVec(vec![value; n])
     }
 
+    /// The `j`-th unit vector of length `n`.
+    pub fn unit(n: usize, j: usize) -> Self {
+        let mut e = DVec::zeros(n);
+        e[j] = 1.0;
+        e
+    }
+
     /// Creates a vector from a function of the index.
     pub fn from_fn(n: usize, f: impl FnMut(usize) -> f64) -> Self {
         DVec((0..n).map(f).collect())

@@ -14,9 +14,12 @@
 //!
 //! Beyond the paper: the forward-over-reverse composition in
 //! `crates/autodiff` provides *exact* Hessian-vector products through the
-//! discretised solver, so [`NewtonCg`] (matrix-free trust-region Newton) and
-//! [`Lbfgs`] (two-loop recursion) can cut iteration counts by an order of
-//! magnitude on the smooth PDE control objectives. They plug into the same
+//! discretised solver, so [`NewtonCg`] (trust-region Newton) and [`Lbfgs`]
+//! (two-loop recursion) can cut iteration counts by an order of magnitude
+//! on the smooth PDE control objectives. Newton-CG forms the reduced
+//! Hessian explicitly from `n` probes per step when the control is small
+//! (`n` ≤ its CG iteration cap, which covers every Laplace workload) and
+//! runs matrix-free on larger controls. Both plug into the same
 //! [`Optimizer`] trait through the [`Optimizer::step_with_curvature`] hook;
 //! Adam stays the paper-faithful default everywhere.
 
@@ -48,6 +51,22 @@ pub trait CurvatureOracle {
     fn hvp(&mut self, v: &DVec) -> Option<DVec>;
     /// Objective value at an arbitrary trial point.
     fn cost_at(&mut self, c: &DVec) -> Option<f64>;
+    /// The `n` Hessian columns `H(x)·e_j`, `j = 0..n`, at the current
+    /// iterate, or `None` if any probe fails. The default is
+    /// [`probe_hessian`], one [`CurvatureOracle::hvp`] per unit vector in
+    /// order. Oracles that can batch the probes override it and must
+    /// return exactly the bits of that loop.
+    fn hessian(&mut self, n: usize) -> Option<Vec<DVec>> {
+        probe_hessian(self, n)
+    }
+}
+
+/// The `n` Hessian columns from `n` [`CurvatureOracle::hvp`] probes along
+/// the unit vectors, in order; `None` at the first failed probe. This is
+/// the default [`CurvatureOracle::hessian`], exposed so overrides can
+/// fall back on it and tests can compare against it.
+pub fn probe_hessian<O: CurvatureOracle + ?Sized>(oracle: &mut O, n: usize) -> Option<Vec<DVec>> {
+    (0..n).map(|j| oracle.hvp(&DVec::unit(n, j))).collect()
 }
 
 /// An optimizer over a flat parameter vector.
@@ -88,7 +107,8 @@ pub enum OptimizerKind {
     /// Adam with the paper's piecewise-constant decay (the default).
     #[default]
     Adam,
-    /// Matrix-free trust-region Newton: CG on Hessian-vector products.
+    /// Trust-region Newton: CG on an explicit Hessian for small controls,
+    /// on Hessian-vector products otherwise.
     NewtonCg,
     /// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
     Lbfgs,

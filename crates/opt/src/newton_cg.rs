@@ -1,26 +1,64 @@
-//! Matrix-free trust-region Newton: conjugate gradients on exact
-//! Hessian-vector products (Steihaug–Toint).
+//! Trust-region Newton: conjugate gradients on exact Hessian-vector
+//! products (Steihaug–Toint).
 //!
 //! Each outer step solves the Newton system `H p = −g` approximately with
-//! CG, never forming `H` — every CG iteration costs one
-//! [`CurvatureOracle::hvp`] query, which the forward-over-reverse tape
-//! answers with four triangular solves on a cached factorization. Three
-//! safeguards keep the step robust on imperfect curvature:
+//! CG. Where `H·d` comes from depends on the control size `n`:
+//!
+//! * **Explicit Hessian** (`n` ≤ the CG iteration cap, default 250 — every
+//!   Laplace workload): the step first asks the oracle for the `n` Hessian
+//!   columns ([`CurvatureOracle::hessian`], which a Laplace DAL oracle
+//!   answers with one batched solve pass), then runs CG and every
+//!   trust-region retry against that dense matrix with a fixed-order axpy
+//!   matvec. A step costs exactly `n` curvature probes, however many CG
+//!   iterations or rejected trials it takes.
+//! * **Matrix-free** (`n` > the cap): `H` is never formed; every CG
+//!   iteration costs one [`CurvatureOracle::hvp`] query, which the
+//!   forward-over-reverse tape answers with four triangular solves on a
+//!   cached factorization.
+//!
+//! Three safeguards keep the step robust on imperfect curvature:
 //!
 //! 1. **Negative curvature** truncates CG at the trust-region boundary
 //!    along the offending direction (Steihaug).
 //! 2. **Trust region**: a candidate step is accepted only if the oracle
 //!    confirms the cost does not increase; rejected steps shrink onto a
 //!    smaller radius (deterministic quartering) before retrying.
-//! 3. **Gradient fallback**: if the HVP fails, CG makes no progress, or
-//!    every shrink is rejected, the step degrades to the plain lr-scaled
-//!    gradient step — the optimizer never stalls or diverges.
+//! 3. **Gradient fallback**: if a curvature probe fails, CG makes no
+//!    progress, or every shrink is rejected, the step degrades to the
+//!    plain lr-scaled gradient step — the optimizer never stalls or
+//!    diverges.
 //!
 //! All inner products are fixed-order scalar loops, so a Newton-CG run is
-//! bitwise reproducible regardless of thread-pool width.
+//! bitwise reproducible regardless of thread-pool width. Each step records
+//! its [`StepStats`] as trace counters (`newton_hessian_probes`,
+//! `newton_cg_iters`, `newton_tr_rejects`, `newton_fallback`).
 
 use crate::{CurvatureOracle, Optimizer};
 use linalg::DVec;
+use meshfree_runtime::trace;
+
+/// What one [`NewtonCg`] step spent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StepStats {
+    /// Hessian columns requested from the oracle (`n` on the explicit
+    /// path, 0 on the matrix-free one).
+    pub probes: usize,
+    /// CG iterations over every trust-region attempt.
+    pub cg_iters: usize,
+    /// Trial steps the trust region rejected.
+    pub rejects: usize,
+    /// Whether the step degraded to the lr-scaled gradient step.
+    pub fallback: bool,
+}
+
+impl StepStats {
+    fn emit(&self) {
+        trace::counter("newton_hessian_probes", self.probes as f64);
+        trace::counter("newton_cg_iters", self.cg_iters as f64);
+        trace::counter("newton_tr_rejects", self.rejects as f64);
+        trace::counter("newton_fallback", f64::from(u8::from(self.fallback)));
+    }
+}
 
 /// Trust-region Newton-CG over exact Hessian-vector products.
 #[derive(Debug, Clone)]
@@ -31,7 +69,7 @@ pub struct NewtonCg {
     radius: f64,
     max_rejects: usize,
     t: usize,
-    last_cg_iters: usize,
+    last: StepStats,
     fallback_steps: usize,
 }
 
@@ -45,7 +83,7 @@ impl NewtonCg {
             radius: 1e3,
             max_rejects: 8,
             t: 0,
-            last_cg_iters: 0,
+            last: StepStats::default(),
             fallback_steps: 0,
         }
     }
@@ -56,7 +94,9 @@ impl NewtonCg {
         self
     }
 
-    /// Overrides the CG iteration cap (default 250).
+    /// Overrides the CG iteration cap (default 250). Controls of at most
+    /// this many entries get the explicit Hessian; larger ones run
+    /// matrix-free.
     pub fn with_cg_max(mut self, cg_max: usize) -> NewtonCg {
         self.cg_max = cg_max;
         self
@@ -69,9 +109,9 @@ impl NewtonCg {
         self
     }
 
-    /// CG iterations spent by the most recent step.
-    pub fn last_cg_iters(&self) -> usize {
-        self.last_cg_iters
+    /// What the most recent step spent.
+    pub fn last_step(&self) -> StepStats {
+        self.last
     }
 
     /// How many steps so far degraded to the gradient fallback.
@@ -79,12 +119,14 @@ impl NewtonCg {
         self.fallback_steps
     }
 
-    /// Steihaug-CG on `H p = −g`, capped at trust radius `delta`.
-    /// Returns `None` if the very first HVP fails.
+    /// Steihaug-CG on `H p = −g`, capped at trust radius `delta`. `H·d`
+    /// comes from the Hessian's columns when given, otherwise from the
+    /// oracle. Returns `None` if the very first product fails.
     fn steihaug_cg(
         &mut self,
         grad: &DVec,
         delta: f64,
+        hessian: Option<&[DVec]>,
         oracle: &mut dyn CurvatureOracle,
     ) -> Option<DVec> {
         let n = grad.len();
@@ -97,21 +139,21 @@ impl NewtonCg {
         }
         let stop2 = (self.cg_tol * self.cg_tol) * g_norm2;
         let mut r2 = g_norm2;
-        self.last_cg_iters = 0;
-        for _ in 0..self.cg_max {
-            let hd = match oracle.hvp(&d) {
+        for done in 0..self.cg_max {
+            let hd = match hessian {
+                Some(cols) => Some(hess_matvec(cols, &d)),
+                None => oracle.hvp(&d),
+            };
+            let hd = match hd {
                 Some(h) if !h.has_non_finite() => h,
                 _ => {
-                    // HVP failed mid-flight: keep whatever progress p holds
-                    // (possibly zero — caller falls back on the gradient).
-                    return if self.last_cg_iters == 0 {
-                        None
-                    } else {
-                        Some(p)
-                    };
+                    // The product failed mid-flight: keep whatever progress
+                    // p holds (possibly zero — caller falls back on the
+                    // gradient).
+                    return (done > 0).then_some(p);
                 }
             };
-            self.last_cg_iters += 1;
+            self.last.cg_iters += 1;
             let dhd = d.dot(&hd);
             if dhd <= 0.0 {
                 // Negative curvature: march to the trust boundary along d.
@@ -141,6 +183,75 @@ impl NewtonCg {
         }
         Some(p)
     }
+
+    /// The trust-region loop of one step (gradient known to be nonzero).
+    fn trust_region_step(
+        &mut self,
+        params: &mut DVec,
+        cost: f64,
+        grad: &DVec,
+        oracle: &mut dyn CurvatureOracle,
+    ) {
+        let n = grad.len();
+        // Small controls: probe H once, so CG iterations and rejected
+        // trials cost no further curvature queries.
+        let hessian = if n <= self.cg_max {
+            self.last.probes = n;
+            match oracle.hessian(n) {
+                Some(cols) if !cols.iter().any(DVec::has_non_finite) => Some(cols),
+                _ => return self.fallback(params, grad),
+            }
+        } else {
+            None
+        };
+        let mut delta = self.radius;
+        for _ in 0..=self.max_rejects {
+            let Some(p) = self.steihaug_cg(grad, delta, hessian.as_deref(), oracle) else {
+                break;
+            };
+            let p_norm = p.norm2();
+            if p_norm == 0.0 || p.has_non_finite() {
+                break;
+            }
+            let mut trial = params.clone();
+            trial.axpy(1.0, &p);
+            match oracle.cost_at(&trial) {
+                Some(j) if j.is_finite() && j <= cost => {
+                    *params = trial;
+                    // A clean acceptance re-opens the trust region.
+                    self.radius = (2.0 * p_norm).max(self.radius);
+                    return;
+                }
+                _ => {
+                    // Reject: shrink well inside the failed step and retry.
+                    self.last.rejects += 1;
+                    delta = p_norm * 0.25;
+                    self.radius = delta;
+                    if delta == 0.0 {
+                        break;
+                    }
+                }
+            }
+        }
+        self.fallback(params, grad);
+    }
+
+    /// Trust-region fallback: the lr-scaled gradient step.
+    fn fallback(&mut self, params: &mut DVec, grad: &DVec) {
+        self.fallback_steps += 1;
+        self.last.fallback = true;
+        params.axpy(-self.lr, grad);
+    }
+}
+
+/// `H·d` from the Hessian's columns: `Σⱼ d[j]·H[:, j]` summed in column
+/// order.
+fn hess_matvec(cols: &[DVec], d: &DVec) -> DVec {
+    let mut hd = DVec::zeros(d.len());
+    for (j, col) in cols.iter().enumerate() {
+        hd.axpy(d[j], col);
+    }
+    hd
 }
 
 /// Positive root `τ` of `‖p + τ·d‖ = delta` (largest feasible move along
@@ -184,40 +295,11 @@ impl Optimizer for NewtonCg {
         oracle: &mut dyn CurvatureOracle,
     ) {
         self.t += 1;
-        if grad.norm_inf() == 0.0 {
-            return;
+        self.last = StepStats::default();
+        if grad.norm_inf() != 0.0 {
+            self.trust_region_step(params, cost, grad, oracle);
         }
-        let mut delta = self.radius;
-        for _ in 0..=self.max_rejects {
-            let Some(p) = self.steihaug_cg(grad, delta, oracle) else {
-                break;
-            };
-            let p_norm = p.norm2();
-            if p_norm == 0.0 || p.has_non_finite() {
-                break;
-            }
-            let mut trial = params.clone();
-            trial.axpy(1.0, &p);
-            match oracle.cost_at(&trial) {
-                Some(j) if j.is_finite() && j <= cost => {
-                    *params = trial;
-                    // A clean acceptance re-opens the trust region.
-                    self.radius = (2.0 * p_norm).max(self.radius);
-                    return;
-                }
-                _ => {
-                    // Reject: shrink well inside the failed step and retry.
-                    delta = p_norm * 0.25;
-                    self.radius = delta;
-                    if delta == 0.0 {
-                        break;
-                    }
-                }
-            }
-        }
-        // Trust-region fallback: the lr-scaled gradient step.
-        self.fallback_steps += 1;
-        params.axpy(-self.lr, grad);
+        self.last.emit();
     }
 }
 
@@ -232,6 +314,8 @@ mod tests {
         x: DVec,
         hvp_calls: usize,
         fail_hvp: bool,
+        /// Trial costs to refuse before answering honestly.
+        reject_trials: usize,
     }
 
     impl Quadratic {
@@ -262,6 +346,10 @@ mod tests {
             Some(self.matvec(v))
         }
         fn cost_at(&mut self, c: &DVec) -> Option<f64> {
+            if self.reject_trials > 0 {
+                self.reject_trials -= 1;
+                return None;
+            }
             Some(self.cost(c))
         }
     }
@@ -277,6 +365,7 @@ mod tests {
             x: DVec(vec![5.0, -4.0, 3.0]),
             hvp_calls: 0,
             fail_hvp: false,
+            reject_trials: 0,
         }
     }
 
@@ -297,7 +386,54 @@ mod tests {
             g_after.norm_inf()
         );
         assert_eq!(opt.fallback_steps(), 0);
-        assert!(opt.last_cg_iters() <= 3, "CG finished within n iterations");
+        assert!(
+            opt.last_step().cg_iters <= 3,
+            "CG finished within n iterations"
+        );
+    }
+
+    #[test]
+    fn explicit_hessian_costs_n_probes_per_step_even_with_rejects() {
+        let mut prob = spd_problem();
+        prob.reject_trials = 2;
+        let mut opt = NewtonCg::new(1e-2);
+        let g = prob.grad();
+        let j = prob.cost(&prob.x.clone());
+        let mut x = prob.x.clone();
+        opt.step_with_curvature(&mut x, j, &g, &mut prob);
+        let stats = opt.last_step();
+        assert_eq!(prob.hvp_calls, 3, "one probe per Hessian column");
+        assert_eq!(stats.probes, 3);
+        assert_eq!(stats.rejects, 2);
+        assert!(stats.cg_iters >= 3, "three CG solves ran on the matrix");
+        assert!(!stats.fallback);
+        assert!(prob.cost(&x) < j);
+
+        // The next step probes afresh: again exactly n.
+        prob.x = x.clone();
+        let g = prob.grad();
+        let j = prob.cost(&x);
+        opt.step_with_curvature(&mut x, j, &g, &mut prob);
+        assert_eq!(prob.hvp_calls, 6);
+        assert_eq!(opt.last_step().probes, 3);
+    }
+
+    #[test]
+    fn cg_max_below_n_keeps_the_matrix_free_path() {
+        let mut prob = spd_problem();
+        let mut opt = NewtonCg::new(1e-2).with_cg_max(2);
+        let g = prob.grad();
+        let j = prob.cost(&prob.x.clone());
+        let mut x = prob.x.clone();
+        opt.step_with_curvature(&mut x, j, &g, &mut prob);
+        let stats = opt.last_step();
+        assert_eq!(stats.probes, 0);
+        assert!(stats.cg_iters >= 1 && stats.cg_iters <= 2);
+        assert_eq!(
+            prob.hvp_calls, stats.cg_iters,
+            "one oracle HVP per CG iteration"
+        );
+        assert!(prob.cost(&x) < j);
     }
 
     #[test]
@@ -341,6 +477,7 @@ mod tests {
             x: DVec(vec![0.5, 4.0]),
             hvp_calls: 0,
             fail_hvp: false,
+            reject_trials: 0,
         };
         let mut opt = NewtonCg::new(0.1).with_radius(1.0);
         let g = prob.grad();

@@ -466,22 +466,58 @@ impl LaplaceControlProblem {
         self.dal_with(c, &self.refactored_lu()?)
     }
 
+    /// Batched [`LaplaceControlProblem::cost_and_grad_dal`]: one `(J, ∂λ/∂y)`
+    /// pair per control vector, from one [`LinearBackend::solve_many`] for
+    /// the forward solves and one for the adjoint solves — the kernel
+    /// behind a DAL Newton step's Hessian probes, the way
+    /// [`LaplaceControlProblem::cost_many`] is for the served evals.
+    /// Returns exactly the bits of `k` standalone `cost_and_grad_dal`
+    /// calls (the backend's batched contract).
+    pub fn cost_and_grad_dal_many(
+        &self,
+        controls: &[DVec],
+    ) -> Result<Vec<(f64, DVec)>, LinalgError> {
+        self.dal_many_with(controls, self.backend.as_ref())
+    }
+
     /// DAL forward + adjoint solves against an explicit backend (the
     /// continuous adjoint of the Laplacian is the Laplacian itself, so the
-    /// same operator serves both solves — no transpose needed).
+    /// same operator serves both solves — no transpose needed). The
+    /// single-control gradient is the one-column case.
+    fn dal_many_with(
+        &self,
+        controls: &[DVec],
+        be: &dyn LinearBackend,
+    ) -> Result<Vec<(f64, DVec)>, LinalgError> {
+        let rhs: Vec<DVec> = controls.iter().map(|c| self.rhs(c)).collect();
+        let coeffs = be.solve_many(&rhs)?;
+        let mut costs = Vec::with_capacity(coeffs.len());
+        let adjoint_rhs: Vec<DVec> = coeffs
+            .iter()
+            .map(|co| {
+                let flux = self.flux_top(co);
+                let mut j = 0.0;
+                let mut b = DVec::zeros(self.size);
+                for i in 0..flux.len() {
+                    let d = flux[i] - self.target[(i, 0)];
+                    j += self.weights[i] * d * d;
+                    b[self.top_idx[i]] = 2.0 * d;
+                }
+                costs.push(j);
+                b
+            })
+            .collect();
+        let lambdas = be.solve_many(&adjoint_rhs)?;
+        Ok(costs
+            .into_iter()
+            .zip(&lambdas)
+            .map(|(j, lambda)| (j, self.flux_top(lambda)))
+            .collect())
+    }
+
     fn dal_with(&self, c: &DVec, be: &dyn LinearBackend) -> Result<(f64, DVec), LinalgError> {
-        let coeffs = be.solve(&self.rhs(c))?;
-        let flux = self.flux_top(&coeffs);
-        let mut j = 0.0;
-        let mut b = DVec::zeros(self.size);
-        for i in 0..flux.len() {
-            let d = flux[i] - self.target[(i, 0)];
-            j += self.weights[i] * d * d;
-            b[self.top_idx[i]] = 2.0 * d;
-        }
-        let lambda = be.solve(&b)?;
-        let grad = self.flux_top(&lambda);
-        Ok((j, grad))
+        let mut one = self.dal_many_with(std::slice::from_ref(c), be)?;
+        Ok(one.pop().expect("one control, one gradient"))
     }
 
     /// **Finite-difference gradient** (central), the paper's footnote-11
@@ -538,6 +574,26 @@ mod tests {
         assert_eq!(batched.len(), controls.len());
         for (c, &j) in controls.iter().zip(&batched) {
             assert_eq!(j.to_bits(), p.cost(c).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn dal_many_matches_standalone_dal_bitwise_on_both_backends() {
+        let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [problem(), LaplaceControlProblem::new_sparse(12).unwrap()] {
+            let n = p.n_controls();
+            for width in [1, 2, 3, 8, 9, 2 * n] {
+                let controls: Vec<DVec> = (0..width)
+                    .map(|k| DVec::from_fn(n, |i| 0.1 * (i as f64 + 0.7 * k as f64).cos()))
+                    .collect();
+                let batched = p.cost_and_grad_dal_many(&controls).unwrap();
+                assert_eq!(batched.len(), width);
+                for (k, (c, (j, g))) in controls.iter().zip(&batched).enumerate() {
+                    let (j1, g1) = p.cost_and_grad_dal(c).unwrap();
+                    assert_eq!(j.to_bits(), j1.to_bits(), "width {width}, cost {k}");
+                    assert_eq!(bits(g), bits(&g1), "width {width}, gradient {k}");
+                }
+            }
         }
     }
 
