@@ -17,9 +17,9 @@
 //! discretised solver, so [`NewtonCg`] (trust-region Newton) and [`Lbfgs`]
 //! (two-loop recursion) can cut iteration counts by an order of magnitude
 //! on the smooth PDE control objectives. Newton-CG forms the reduced
-//! Hessian explicitly from `n` probes per step when the control is small
-//! (`n` ≤ its CG iteration cap, which covers every Laplace workload) and
-//! runs matrix-free on larger controls. Both plug into the same
+//! Hessian explicitly from `n` probes per step and runs CG on that
+//! matrix, which suits the small boundary controls of the Laplace
+//! problems. Both plug into the same
 //! [`Optimizer`] trait through the [`Optimizer::step_with_curvature`] hook;
 //! Adam stays the paper-faithful default everywhere.
 
@@ -107,8 +107,8 @@ pub enum OptimizerKind {
     /// Adam with the paper's piecewise-constant decay (the default).
     #[default]
     Adam,
-    /// Trust-region Newton: CG on an explicit Hessian for small controls,
-    /// on Hessian-vector products otherwise.
+    /// Trust-region Newton: Steihaug CG on the explicit reduced Hessian,
+    /// probed once per step.
     NewtonCg,
     /// Limited-memory BFGS with two-loop recursion and Armijo backtracking.
     Lbfgs,

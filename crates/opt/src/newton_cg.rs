@@ -1,20 +1,15 @@
-//! Trust-region Newton: conjugate gradients on exact Hessian-vector
-//! products (Steihaug–Toint).
+//! Trust-region Newton: conjugate gradients on an explicit reduced
+//! Hessian (Steihaug–Toint).
 //!
-//! Each outer step solves the Newton system `H p = −g` approximately with
-//! CG. Where `H·d` comes from depends on the control size `n`:
-//!
-//! * **Explicit Hessian** (`n` ≤ the CG iteration cap, default 250 — every
-//!   Laplace workload): the step first asks the oracle for the `n` Hessian
-//!   columns ([`CurvatureOracle::hessian`], which a Laplace DAL oracle
-//!   answers with one batched solve pass), then runs CG and every
-//!   trust-region retry against that dense matrix with a fixed-order axpy
-//!   matvec. A step costs exactly `n` curvature probes, however many CG
-//!   iterations or rejected trials it takes.
-//! * **Matrix-free** (`n` > the cap): `H` is never formed; every CG
-//!   iteration costs one [`CurvatureOracle::hvp`] query, which the
-//!   forward-over-reverse tape answers with four triangular solves on a
-//!   cached factorization.
+//! Each outer step first asks the oracle for the `n` Hessian columns
+//! ([`CurvatureOracle::hessian`], which a Laplace DAL oracle answers with
+//! one batched solve pass and every other oracle with `n` exact
+//! Hessian-vector products), then solves the Newton system `H p = −g`
+//! approximately with CG against that dense matrix, using a fixed-order
+//! axpy matvec. A step costs exactly `n` curvature probes however many CG
+//! iterations or rejected trials it takes, so the method suits the small
+//! boundary controls of the Laplace problems; on large controls
+//! [`crate::Lbfgs`] spends no probes at all.
 //!
 //! Three safeguards keep the step robust on imperfect curvature:
 //!
@@ -40,8 +35,8 @@ use meshfree_runtime::trace;
 /// What one [`NewtonCg`] step spent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepStats {
-    /// Hessian columns requested from the oracle (`n` on the explicit
-    /// path, 0 on the matrix-free one).
+    /// Hessian columns the oracle returned: `n`, or 0 when a probe
+    /// failed and the step fell back.
     pub probes: usize,
     /// CG iterations over every trust-region attempt.
     pub cg_iters: usize,
@@ -60,7 +55,7 @@ impl StepStats {
     }
 }
 
-/// Trust-region Newton-CG over exact Hessian-vector products.
+/// Trust-region Newton-CG on the explicit reduced Hessian.
 #[derive(Debug, Clone)]
 pub struct NewtonCg {
     lr: f64,
@@ -94,9 +89,7 @@ impl NewtonCg {
         self
     }
 
-    /// Overrides the CG iteration cap (default 250). Controls of at most
-    /// this many entries get the explicit Hessian; larger ones run
-    /// matrix-free.
+    /// Overrides the CG iteration cap (default 250).
     pub fn with_cg_max(mut self, cg_max: usize) -> NewtonCg {
         self.cg_max = cg_max;
         self
@@ -119,47 +112,28 @@ impl NewtonCg {
         self.fallback_steps
     }
 
-    /// Steihaug-CG on `H p = −g`, capped at trust radius `delta`. `H·d`
-    /// comes from the Hessian's columns when given, otherwise from the
-    /// oracle. Returns `None` if the very first product fails.
-    fn steihaug_cg(
-        &mut self,
-        grad: &DVec,
-        delta: f64,
-        hessian: Option<&[DVec]>,
-        oracle: &mut dyn CurvatureOracle,
-    ) -> Option<DVec> {
+    /// Steihaug-CG on `H p = −g`, capped at trust radius `delta`, with
+    /// `H` given by its columns.
+    fn steihaug_cg(&mut self, grad: &DVec, delta: f64, hessian: &[DVec]) -> DVec {
         let n = grad.len();
         let mut p = DVec::zeros(n);
         let mut r = grad.clone(); // residual of Hp + g; r = g at p = 0
         let mut d = grad.scaled(-1.0);
         let g_norm2 = grad.dot(grad);
         if g_norm2 == 0.0 {
-            return Some(p);
+            return p;
         }
         let stop2 = (self.cg_tol * self.cg_tol) * g_norm2;
         let mut r2 = g_norm2;
-        for done in 0..self.cg_max {
-            let hd = match hessian {
-                Some(cols) => Some(hess_matvec(cols, &d)),
-                None => oracle.hvp(&d),
-            };
-            let hd = match hd {
-                Some(h) if !h.has_non_finite() => h,
-                _ => {
-                    // The product failed mid-flight: keep whatever progress
-                    // p holds (possibly zero — caller falls back on the
-                    // gradient).
-                    return (done > 0).then_some(p);
-                }
-            };
+        for _ in 0..self.cg_max {
+            let hd = hess_matvec(hessian, &d);
             self.last.cg_iters += 1;
             let dhd = d.dot(&hd);
             if dhd <= 0.0 {
                 // Negative curvature: march to the trust boundary along d.
                 let tau = boundary_tau(&p, &d, delta);
                 p.axpy(tau, &d);
-                return Some(p);
+                return p;
             }
             let alpha = r2 / dhd;
             let mut p_next = p.clone();
@@ -167,13 +141,13 @@ impl NewtonCg {
             if p_next.norm2() > delta {
                 let tau = boundary_tau(&p, &d, delta);
                 p.axpy(tau, &d);
-                return Some(p);
+                return p;
             }
             p = p_next;
             r.axpy(alpha, &hd);
             let r2_next = r.dot(&r);
             if r2_next <= stop2 {
-                return Some(p);
+                return p;
             }
             let beta = r2_next / r2;
             r2 = r2_next;
@@ -181,10 +155,12 @@ impl NewtonCg {
                 d[i] = -r[i] + beta * d[i];
             }
         }
-        Some(p)
+        p
     }
 
     /// The trust-region loop of one step (gradient known to be nonzero).
+    /// `H` is probed once, so CG iterations and rejected trials cost no
+    /// further curvature queries.
     fn trust_region_step(
         &mut self,
         params: &mut DVec,
@@ -192,23 +168,16 @@ impl NewtonCg {
         grad: &DVec,
         oracle: &mut dyn CurvatureOracle,
     ) {
-        let n = grad.len();
-        // Small controls: probe H once, so CG iterations and rejected
-        // trials cost no further curvature queries.
-        let hessian = if n <= self.cg_max {
-            self.last.probes = n;
-            match oracle.hessian(n) {
-                Some(cols) if !cols.iter().any(DVec::has_non_finite) => Some(cols),
-                _ => return self.fallback(params, grad),
-            }
-        } else {
-            None
+        let Some(hessian) = oracle.hessian(grad.len()) else {
+            return self.fallback(params, grad);
         };
+        self.last.probes = hessian.len();
+        if hessian.iter().any(DVec::has_non_finite) {
+            return self.fallback(params, grad);
+        }
         let mut delta = self.radius;
         for _ in 0..=self.max_rejects {
-            let Some(p) = self.steihaug_cg(grad, delta, hessian.as_deref(), oracle) else {
-                break;
-            };
+            let p = self.steihaug_cg(grad, delta, &hessian);
             let p_norm = p.norm2();
             if p_norm == 0.0 || p.has_non_finite() {
                 break;
@@ -314,6 +283,8 @@ mod tests {
         x: DVec,
         hvp_calls: usize,
         fail_hvp: bool,
+        /// Products answered before every later one fails.
+        hvp_budget: usize,
         /// Trial costs to refuse before answering honestly.
         reject_trials: usize,
     }
@@ -339,7 +310,7 @@ mod tests {
 
     impl CurvatureOracle for Quadratic {
         fn hvp(&mut self, v: &DVec) -> Option<DVec> {
-            if self.fail_hvp {
+            if self.fail_hvp || self.hvp_calls == self.hvp_budget {
                 return None;
             }
             self.hvp_calls += 1;
@@ -365,6 +336,7 @@ mod tests {
             x: DVec(vec![5.0, -4.0, 3.0]),
             hvp_calls: 0,
             fail_hvp: false,
+            hvp_budget: usize::MAX,
             reject_trials: 0,
         }
     }
@@ -419,24 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_max_below_n_keeps_the_matrix_free_path() {
-        let mut prob = spd_problem();
-        let mut opt = NewtonCg::new(1e-2).with_cg_max(2);
-        let g = prob.grad();
-        let j = prob.cost(&prob.x.clone());
-        let mut x = prob.x.clone();
-        opt.step_with_curvature(&mut x, j, &g, &mut prob);
-        let stats = opt.last_step();
-        assert_eq!(stats.probes, 0);
-        assert!(stats.cg_iters >= 1 && stats.cg_iters <= 2);
-        assert_eq!(
-            prob.hvp_calls, stats.cg_iters,
-            "one oracle HVP per CG iteration"
-        );
-        assert!(prob.cost(&x) < j);
-    }
-
-    #[test]
     fn hvp_failure_falls_back_to_gradient_step() {
         let mut prob = spd_problem();
         prob.fail_hvp = true;
@@ -455,6 +409,32 @@ mod tests {
         for i in 0..x.len() {
             assert_eq!(x[i].to_bits(), expected[i].to_bits(), "exact fallback");
         }
+    }
+
+    #[test]
+    fn failed_probe_step_reports_a_fallback_without_probes() {
+        let mut prob = spd_problem();
+        prob.hvp_budget = 1; // the second Hessian column fails
+        let lr = 0.05;
+        let mut opt = NewtonCg::new(lr);
+        let g = prob.grad();
+        let j = prob.cost(&prob.x.clone());
+        let mut x = prob.x.clone();
+        opt.step_with_curvature(&mut x, j, &g, &mut prob);
+        assert_eq!(prob.hvp_calls, 1, "probing stops at the failed column");
+        assert_eq!(
+            opt.last_step(),
+            StepStats {
+                probes: 0,
+                cg_iters: 0,
+                rejects: 0,
+                fallback: true,
+            }
+        );
+        assert_eq!(opt.fallback_steps(), 1);
+        let mut expected = prob.x.clone();
+        expected.axpy(-lr, &g);
+        assert_eq!(x.as_slice(), expected.as_slice());
     }
 
     #[test]
@@ -477,6 +457,7 @@ mod tests {
             x: DVec(vec![0.5, 4.0]),
             hvp_calls: 0,
             fail_hvp: false,
+            hvp_budget: usize::MAX,
             reject_trials: 0,
         };
         let mut opt = NewtonCg::new(0.1).with_radius(1.0);
