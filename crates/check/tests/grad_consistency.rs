@@ -108,9 +108,9 @@ fn laplace_hvp_ladder_holds() {
 #[test]
 fn laplace_neural_op_ladder_holds() {
     // The amortized-control rung: a surrogate trained once on the default
-    // budget must (1) differentiate its own frozen net to FD truncation
-    // and (2) point its gradient along the true DP gradient — otherwise
-    // optimizing through the frozen network would descend the wrong
+    // dataset must (1) differentiate its own cost to FD accuracy and
+    // (2) point its gradient along the true DP gradient — otherwise
+    // optimizing through the frozen surrogate would descend the wrong
     // objective and the post-run audit could not rescue it.
     let p = LaplaceControlProblem::new(10).unwrap();
     let surrogate = LaplaceSurrogate::train(&p, &SurrogateSpec::default(), 0).unwrap();
@@ -118,7 +118,7 @@ fn laplace_neural_op_ladder_holds() {
     let reports = check_laplace_neural_op(&p, &surrogate, &c, &ToleranceLadder::default());
     assert_eq!(reports.len(), 2);
     assert!(
-        reports[1].cosine >= 0.9,
+        reports[1].cosine >= 0.99,
         "surrogate-vs-dp cos {:.3}",
         reports[1].cosine
     );

@@ -42,7 +42,7 @@ use pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // ControlError
@@ -1269,13 +1269,27 @@ impl BuiltProblem {
         })?;
         let cfg = spec.surrogate.clone().unwrap_or_default();
         let key = cfg.fingerprint(spec.seed);
-        let mut cache = self.surrogates.lock().expect("surrogate cache poisoned");
-        if let Some(s) = cache.get(&key) {
+        if let Some(s) = self.cached_surrogates().get(&key) {
             return Ok(Arc::clone(s));
         }
+        // Train without holding the lock, so a training never blocks
+        // another fingerprint's lookup. Training is bitwise reproducible
+        // per fingerprint: when two callers race, the first insert wins
+        // and the loser's identical copy is dropped.
         let trained = Arc::new(LaplaceSurrogate::train(p, &cfg, spec.seed)?);
-        cache.insert(key, Arc::clone(&trained));
-        Ok(trained)
+        Ok(Arc::clone(
+            self.cached_surrogates().entry(key).or_insert(trained),
+        ))
+    }
+
+    /// The surrogate cache. A panic elsewhere while the lock was held
+    /// cannot leave a half-inserted entry (inserts are single `HashMap`
+    /// operations on finished surrogates), so a poisoned lock is taken
+    /// over rather than propagated.
+    fn cached_surrogates(&self) -> MutexGuard<'_, HashMap<String, Arc<LaplaceSurrogate>>> {
+        self.surrogates
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Executes a spec against this build. NeuralOp runs go through the
@@ -1305,9 +1319,7 @@ impl BuiltProblem {
             BuiltKind::Synthetic => 0,
         };
         let surrogates: usize = self
-            .surrogates
-            .lock()
-            .expect("surrogate cache poisoned")
+            .cached_surrogates()
             .values()
             .map(|s| s.memory_bytes())
             .sum();
@@ -1939,7 +1951,7 @@ mod tests {
         let bad_surrogate = RunSpec::laplace()
             .strategy(Strategy::NeuralOp)
             .surrogate(crate::surrogate::SurrogateSpec {
-                epochs: 0,
+                sample_amplitude: 0.0,
                 ..Default::default()
             })
             .build();
@@ -1979,6 +1991,28 @@ mod tests {
             "audited neural-op cost {audited:.3e} far from DP {:.3e}",
             dp.report.final_cost
         );
+    }
+
+    #[test]
+    fn surrogate_cache_survives_a_poisoned_lock() {
+        let spec = RunSpec::laplace()
+            .nx(8)
+            .strategy(Strategy::NeuralOp)
+            .iterations(40)
+            .build();
+        let built = BuiltProblem::build(&spec.problem).unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = built.surrogates.lock().unwrap();
+                panic!("poisoning the surrogate cache on purpose");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(built.surrogates.is_poisoned());
+        let s1 = built.surrogate_for(&spec).unwrap();
+        let s2 = built.surrogate_for(&spec).unwrap();
+        assert!(Arc::ptr_eq(&s1, &s2), "the poisoned cache still caches");
+        assert!(built.memory_bytes() >= s1.memory_bytes());
     }
 
     #[test]

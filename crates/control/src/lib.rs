@@ -5,8 +5,9 @@
 //! The paper's contribution layer: the three optimal-control strategies —
 //! **DAL** (direct-adjoint looping), **DP** (differentiable programming) and
 //! **PINN** (physics-informed neural networks with the two-step ω line
-//! search) — plus the **NeuralOp** amortized surrogate (a DeepONet trained
-//! on forward solves, frozen, then optimized through) — driven over the
+//! search) — plus the **NeuralOp** amortized surrogate (an exact affine
+//! control-to-flux fit to one batched forward solve, frozen, then
+//! optimized through) — driven over the
 //! Laplace and Navier–Stokes substrates from `meshfree-pde`, with Adam and
 //! the paper's learning-rate schedule from `meshfree-opt`, plus the
 //! instrumentation (wall time, peak-allocation tracking, convergence

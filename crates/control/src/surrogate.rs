@@ -1,62 +1,46 @@
-//! The NeuralOp train/freeze/optimize lifecycle: a DeepONet surrogate of
-//! the Laplace control-to-flux map, optimized through the tensor tape.
+//! The NeuralOp train/freeze/optimize lifecycle: an exact affine surrogate
+//! of the Laplace control-to-flux map, optimized without touching the
+//! solver.
 //!
 //! The paper's DP strategy differentiates *through the solver*; the
-//! NeuralOp strategy instead amortizes the solver into a branch/trunk
-//! operator network trained once per problem family (Lundqvist & Oliveira
-//! 2025, Hwang et al. 2021):
+//! NeuralOp strategy instead amortizes the solver into an operator trained
+//! once per problem family (Lundqvist & Oliveira 2025, Hwang et al. 2021):
 //!
-//! 1. **train** — harvest (control, flux) pairs from forward solves
-//!    (structured probes + seeded random draws + controls reconstructed
-//!    from campaign-ledger seeds) and fit a [`nn::DeepONet`] to the map
-//!    `c ↦ ∂u/∂y |_top` with the deterministic Adam loop [`nn::fit`];
-//! 2. **freeze** — bake the trunk onto the control-node grid, leaving a
-//!    small frozen network ([`nn::FrozenDeepONet`]);
+//! 1. **train** — harvest (control, flux) pairs from one batched forward
+//!    solve ([`training_set`]: structured probes + seeded random draws +
+//!    controls reconstructed from campaign-ledger seeds) and fit
+//!    `flux(c) = f₀ + S c` by one least-squares solve. The Laplace
+//!    control-to-flux map is affine, so this is a POD-DeepONet with a
+//!    linear branch and every mode kept (Lu et al. 2022): exact up to
+//!    rounding, with no training loop;
+//! 2. **freeze** — the fitted `(f₀, S)` and the cost head are immutable;
 //! 3. **optimize** — expose the exact discrete cost
 //!    `J(c) = Σ wᵢ (flux̂ᵢ(c) − cos πxᵢ)²` over the *predicted* flux as a
-//!    [`ControlObjective`], with `dJ/dc` from one reverse sweep through
-//!    the frozen net ([`LaplaceSurrogate::cost_and_grad`]).
+//!    [`ControlObjective`], with the closed-form gradient
+//!    `2 Sᵀ W (f₀ + S c − t)` ([`LaplaceSurrogate::cost_and_grad`]).
 //!
 //! Accuracy is externally gated (meshfree-check): the surrogate gradient
-//! must align with the DP gradient (cosine + relative error), and every
-//! NeuralOp run ends with a DP **audit** re-solve of the surrogate's final
-//! control — the audited cost is what enters reports and ledgers.
+//! must match the DP gradient, and every NeuralOp run ends with a DP
+//! **audit** re-solve of the surrogate's final control — the audited cost
+//! is what enters reports and ledgers.
 
 use crate::api::{ControlError, ControlObjective};
-use autodiff::tape::Tape;
-use autodiff::tensor;
-use linalg::{DMat, DVec, Lu};
+use linalg::blocking::dot8;
+use linalg::{DMat, DVec, Qr};
 use meshfree_runtime::Rng64;
-use nn::{fit, DeepONet, FitReport, FrozenDeepONet, Module};
 use pde::laplace::LaplaceControlProblem;
 
-/// Architecture, training budget and dataset source of a NeuralOp
-/// surrogate. Part of a `RunSpec` (`RunSpec::validate` checks it); two
-/// specs with equal fingerprints share one trained surrogate per built
-/// problem.
+/// Dataset source of a NeuralOp surrogate. Part of a `RunSpec`
+/// (`RunSpec::validate` checks it); two specs with equal fingerprints
+/// share one trained surrogate per built problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SurrogateSpec {
-    /// Latent width `p` shared by branch and trunk.
-    pub latent: usize,
-    /// Hidden widths of the branch net (input `n_controls`, output
-    /// `latent`). Empty (the default) makes the branch a single linear
-    /// layer; after Adam training its weights are then re-solved exactly
-    /// by least squares against the frozen trunk basis, which pins the
-    /// affine part of the control-to-flux map to the trunk's accuracy.
-    pub branch_hidden: Vec<usize>,
-    /// Hidden widths of the trunk net (input 1 coordinate, output `latent`).
-    pub trunk_hidden: Vec<usize>,
-    /// Full-batch Adam epochs.
-    pub epochs: usize,
-    /// Adam learning rate for training (distinct from the run's `lr`,
-    /// which drives the frozen-surrogate optimization).
-    pub train_lr: f64,
     /// Number of seeded random training controls (on top of the structured
     /// probes: the zero control and one scaled basis vector per control
     /// node).
     pub n_samples: usize,
     /// Uniform sampling amplitude: random controls are drawn from
-    /// `[-amplitude, amplitude]^n`.
+    /// `[-amplitude, amplitude]^n`, and the basis probes have this height.
     pub sample_amplitude: f64,
     /// Extra dataset seeds harvested from campaign ledgers (one training
     /// control is reconstructed per seed; see `driver::dataset`).
@@ -66,11 +50,6 @@ pub struct SurrogateSpec {
 impl Default for SurrogateSpec {
     fn default() -> Self {
         SurrogateSpec {
-            latent: 16,
-            branch_hidden: Vec::new(),
-            trunk_hidden: vec![32],
-            epochs: 1000,
-            train_lr: 2e-2,
             n_samples: 48,
             sample_amplitude: 2.0,
             extra_seeds: Vec::new(),
@@ -80,17 +59,11 @@ impl Default for SurrogateSpec {
 
 impl SurrogateSpec {
     /// Deterministic identity of the trained artifact: every field that
-    /// influences the trained weights, plus the training seed. Surrogate
-    /// caches key on this, so two runs share a surrogate exactly when
-    /// retraining would reproduce it bitwise — the cache can never change
-    /// a result, no matter the execution order.
+    /// influences the fit, plus the training seed. Surrogate caches key on
+    /// this, so two runs share a surrogate exactly when retraining would
+    /// reproduce it bitwise — the cache can never change a result, no
+    /// matter the execution order.
     pub fn fingerprint(&self, seed: u64) -> String {
-        let list = |v: &[usize]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
         let seeds = self
             .extra_seeds
             .iter()
@@ -98,39 +71,18 @@ impl SurrogateSpec {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "p{}-bh[{}]-th[{}]-ep{}-lr{:e}-ns{}-amp{:e}-xs[{}]-seed{}",
-            self.latent,
-            list(&self.branch_hidden),
-            list(&self.trunk_hidden),
-            self.epochs,
-            self.train_lr,
-            self.n_samples,
-            self.sample_amplitude,
-            seeds,
-            seed
+            "ns{}-amp{:e}-xs[{}]-seed{}",
+            self.n_samples, self.sample_amplitude, seeds, seed
         )
     }
 
     /// Spec-level sanity (called from `RunSpec::validate`).
     pub fn validate(&self) -> Result<(), ControlError> {
-        let bad = |msg: String| Err(ControlError::BadConfig(msg));
-        if self.latent == 0 {
-            return bad("surrogate latent width must be >= 1".into());
-        }
-        if self.epochs == 0 {
-            return bad("surrogate epochs must be >= 1".into());
-        }
-        if !(self.train_lr.is_finite() && self.train_lr > 0.0) {
-            return bad(format!(
-                "surrogate train_lr must be finite and positive, got {}",
-                self.train_lr
-            ));
-        }
         if !(self.sample_amplitude.is_finite() && self.sample_amplitude > 0.0) {
-            return bad(format!(
+            return Err(ControlError::BadConfig(format!(
                 "surrogate sample_amplitude must be finite and positive, got {}",
                 self.sample_amplitude
-            ));
+            )));
         }
         Ok(())
     }
@@ -148,7 +100,7 @@ pub fn sample_control(n: usize, amplitude: f64, seed: u64) -> DVec {
     DVec(c)
 }
 
-/// One (control, flux, cost) training triple from a fresh forward solve.
+/// One (control, flux, cost) training triple from a real forward solve.
 #[derive(Debug, Clone)]
 pub struct TrainingPair {
     /// Boundary control.
@@ -159,33 +111,12 @@ pub struct TrainingPair {
     pub cost: f64,
 }
 
-/// Solves the forward problem once and packages the training triple.
-pub fn forward_pair(
-    p: &LaplaceControlProblem,
-    control: DVec,
-) -> Result<TrainingPair, ControlError> {
-    let coeffs = p.solve_coeffs(&control)?;
-    let flux = p.flux_top(&coeffs);
-    let target = p.flux_target();
-    let w = p.quad_weights();
-    let mut cost = 0.0;
-    for i in 0..flux.len() {
-        let d = flux[i] - target[i];
-        cost += w[i] * d * d;
-    }
-    Ok(TrainingPair {
-        control,
-        flux,
-        cost,
-    })
-}
-
-/// The dataset a surrogate trains on: structured probes (zero control and
-/// one scaled basis vector per control node — they pin the affine
-/// control-to-flux structure), `n_samples` seeded random controls, and one
-/// reconstructed control per harvested ledger seed.
-pub fn training_controls(n_controls: usize, spec: &SurrogateSpec, seed: u64) -> Vec<DVec> {
-    let mut controls = Vec::with_capacity(1 + n_controls + spec.n_samples);
+/// The controls a surrogate trains on: structured probes (zero control and
+/// one scaled basis vector per control node — they make `[C 1]` full rank
+/// and pin the affine control-to-flux structure), `n_samples` seeded random
+/// controls, and one reconstructed control per harvested ledger seed.
+fn training_controls(n_controls: usize, spec: &SurrogateSpec, seed: u64) -> Vec<DVec> {
+    let mut controls = Vec::with_capacity(1 + n_controls + spec.n_samples + spec.extra_seeds.len());
     controls.push(DVec::zeros(n_controls));
     for j in 0..n_controls {
         controls.push(DVec::from_fn(n_controls, |i| {
@@ -208,218 +139,145 @@ pub fn training_controls(n_controls: usize, spec: &SurrogateSpec, seed: u64) -> 
     controls
 }
 
-/// Re-solves a linear branch layer exactly against the frozen trunk basis:
-/// with branch `z = cW + b` the model is `A Θ Tᵀ` (`A = [C 1]`,
-/// `Θ = [W; b]`, `T` the trunk evaluated on the grid), so the training
-/// problem in `Θ` is linear least squares with the separable normal
-/// equations `(AᵀA) Θ (TᵀT) = Aᵀ Z T`. A small relative ridge keeps the
-/// trunk Gram invertible when `latent` exceeds the node count. Returns the
-/// refined mean-squared training error.
-fn refine_linear_branch(
-    net: &mut DeepONet,
-    c_mat: &DMat,
-    f_neg: &DMat,
-    x: &DMat,
-) -> Result<f64, ControlError> {
-    let (n_pairs, n_in) = c_mat.shape();
-    let t = net.trunk().eval(x);
-    let latent = t.ncols();
-    let a = DMat::from_fn(n_pairs, n_in + 1, |i, j| {
-        if j < n_in {
-            c_mat[(i, j)]
-        } else {
-            1.0
-        }
-    });
-    let z = DMat::from_fn(n_pairs, f_neg.ncols(), |i, j| -f_neg[(i, j)]);
-
-    let ridge = |mut g: DMat| {
-        let n = g.nrows();
-        let lam = 1e-8 * (1.0 + (0..n).map(|i| g[(i, i)]).sum::<f64>() / n as f64);
-        for i in 0..n {
-            g[(i, i)] += lam;
-        }
-        g
-    };
-    let gram_a = ridge(a.transpose().matmul(&a)?);
-    let gram_t = ridge(t.transpose().matmul(&t)?);
-    let rhs = a.transpose().matmul(&z)?.matmul(&t)?;
-    // Θ = gram_a⁻¹ · rhs · gram_t⁻¹ (gram_t is symmetric).
-    let half = Lu::factor(&gram_a)?.solve_mat(&rhs)?;
-    let theta = Lu::factor(&gram_t)?
-        .solve_mat(&half.transpose())?
-        .transpose();
-
-    let mut flat = net.params_flat();
-    let nb = net.branch().n_params();
-    debug_assert_eq!(nb, (n_in + 1) * latent);
-    flat.0[..nb].copy_from_slice(theta.as_slice());
-    net.set_params_flat(&flat);
-
-    let pred = a.matmul(&theta)?.matmul(&t.transpose())?;
-    let mse = pred
-        .as_slice()
-        .iter()
-        .zip(z.as_slice())
-        .map(|(p, z)| (p - z) * (p - z))
-        .sum::<f64>()
-        / (n_pairs * z.ncols()) as f64;
-    Ok(mse)
+/// The dataset a spec implies, forward-solved on `p` in one
+/// [`LaplaceControlProblem::flux_top_many`]. Each pair's flux and cost
+/// equal a standalone solve and [`LaplaceControlProblem::cost`] bit for
+/// bit. Deterministic in `(p, spec, seed)`.
+pub fn training_set(
+    p: &LaplaceControlProblem,
+    spec: &SurrogateSpec,
+    seed: u64,
+) -> Result<Vec<TrainingPair>, ControlError> {
+    spec.validate()?;
+    let controls = training_controls(p.n_controls(), spec, seed);
+    let fluxes = p.flux_top_many(&controls)?;
+    Ok(controls
+        .into_iter()
+        .zip(fluxes)
+        .map(|(control, flux)| TrainingPair {
+            cost: p.flux_cost(&flux),
+            control,
+            flux,
+        })
+        .collect())
 }
 
-/// A trained, frozen Laplace flux surrogate with the exact discrete cost
-/// head on top. Immutable after training; cheap to evaluate and to
-/// differentiate with respect to the control.
+/// A trained, frozen Laplace flux surrogate `flux̂(c) = f₀ + S c` with the
+/// exact discrete cost head on top. Immutable after training; evaluating
+/// and differentiating it costs two `n × n` matvecs.
 #[derive(Debug, Clone)]
 pub struct LaplaceSurrogate {
-    frozen: FrozenDeepONet,
-    /// Branch inputs are scaled to roughly `[-1, 1]` (controls divided by
-    /// the sampling amplitude) and the network is trained on per-node
-    /// standardized fluxes — the head un-standardizes. Both are affine
-    /// reparameterizations, so gradients pass through exactly.
-    in_scale: f64,
-    flux_mean: DVec,
-    flux_scale: DVec,
+    /// Predicted flux at the zero control.
+    f0: DVec,
+    /// Control-to-flux sensitivity `∂flux/∂c`, one row per flux node.
+    s: DMat,
     weights: DVec,
     target: DVec,
-    fit: FitReport,
     n_pairs: usize,
 }
 
 impl LaplaceSurrogate {
-    /// Trains a [`nn::DeepONet`] on forward-solve pairs of `p` and freezes
-    /// it on the control-node grid. Deterministic in `(p, spec, seed)`.
+    /// Fits the affine map to the [`training_set`] of `p`: one QR of
+    /// `A = [C 1]` (a row per training control) solved for every flux node,
+    /// so row `k` of `[S f₀]` minimizes `‖A θ − F[:, k]‖`. The dataset holds
+    /// the zero control and every scaled unit direction, so `A` always has
+    /// full column rank. Deterministic in `(p, spec, seed)`.
     pub fn train(
         p: &LaplaceControlProblem,
         spec: &SurrogateSpec,
         seed: u64,
     ) -> Result<LaplaceSurrogate, ControlError> {
-        spec.validate()?;
+        let pairs = training_set(p, spec, seed)?;
         let n = p.n_controls();
-        let controls = training_controls(n, spec, seed);
-        let mut fluxes = Vec::with_capacity(controls.len());
-        for c in &controls {
-            fluxes.push(p.flux_top(&p.solve_coeffs(c)?));
+        let m = pairs.len();
+        // [C 1]: row i is control i followed by a one.
+        let a = DMat::from_fn(m, n + 1, |i, j| {
+            pairs[i].control.get(j).copied().unwrap_or(1.0)
+        });
+        let qr = Qr::factor(&a)?;
+        let n_flux = pairs[0].flux.len();
+        let mut s = DMat::zeros(n_flux, n);
+        let mut f0 = DVec::zeros(n_flux);
+        for k in 0..n_flux {
+            let theta = qr.solve_least_squares(&DVec::from_fn(m, |i| pairs[i].flux[k]))?;
+            s.row_mut(k).copy_from_slice(&theta.as_slice()[..n]);
+            f0[k] = theta[n];
         }
-        let n_pairs = controls.len();
-        // Standardize: branch inputs to ~[-1, 1], flux targets to zero
-        // mean / unit variance per node. The raw map's output scale grows
-        // with the control amplitude, which stalls tanh-net training.
-        let in_scale = spec.sample_amplitude;
-        let flux_mean = DVec::from_fn(n, |j| {
-            fluxes.iter().map(|f| f[j]).sum::<f64>() / n_pairs as f64
-        });
-        let flux_scale = DVec::from_fn(n, |j| {
-            let var = fluxes
-                .iter()
-                .map(|f| (f[j] - flux_mean[j]).powi(2))
-                .sum::<f64>()
-                / n_pairs as f64;
-            var.sqrt().max(1e-12)
-        });
-        let c_mat = DMat::from_fn(n_pairs, n, |i, j| controls[i][j] / in_scale);
-        let f_neg = DMat::from_fn(n_pairs, n, |i, j| {
-            -(fluxes[i][j] - flux_mean[j]) / flux_scale[j]
-        });
-        // Query grid: the control-node x coordinates (flux and control live
-        // on the same top-wall nodes).
-        let x = DMat::from_fn(n, 1, |i, _| p.control_x()[i]);
-
-        let mut layers_b = vec![n];
-        layers_b.extend_from_slice(&spec.branch_hidden);
-        layers_b.push(spec.latent);
-        let mut layers_t = vec![1];
-        layers_t.extend_from_slice(&spec.trunk_hidden);
-        layers_t.push(spec.latent);
-        let mut net = DeepONet::new(&layers_b, &layers_t, seed);
-        let mut fit_report = fit(&mut net, spec.epochs, spec.train_lr, |net, tape, ps| {
-            net.forward(tape, ps, &c_mat, &x)
-                .add_const(&f_neg)
-                .sq()
-                .mean()
-        });
-        if spec.branch_hidden.is_empty() {
-            fit_report.final_loss = refine_linear_branch(&mut net, &c_mat, &f_neg, &x)?;
-        }
-        if !fit_report.final_loss.is_finite() {
+        if s.has_non_finite() || f0.has_non_finite() {
             return Err(ControlError::Diverged {
-                iteration: spec.epochs,
-                cost: fit_report.final_loss,
+                iteration: 0,
+                cost: f64::NAN,
             });
         }
         Ok(LaplaceSurrogate {
-            frozen: net.freeze(&x),
-            in_scale,
-            flux_mean,
-            flux_scale,
+            f0,
+            s,
             weights: p.quad_weights().clone(),
             target: p.flux_target(),
-            fit: fit_report,
-            n_pairs,
+            n_pairs: m,
         })
     }
 
     /// Control dimension.
     pub fn n_controls(&self) -> usize {
-        self.frozen.n_controls()
+        self.s.ncols()
     }
 
-    /// Predicted top-wall flux profile for a control.
+    /// Predicted top-wall flux profile `f₀ + S c` for a control.
     pub fn predict_flux(&self, c: &DVec) -> DVec {
-        let scaled = DVec::from_fn(c.len(), |i| c[i] / self.in_scale);
-        let z = self.frozen.eval(&scaled);
-        DVec::from_fn(z.len(), |i| z[i] * self.flux_scale[i] + self.flux_mean[i])
+        assert_eq!(c.len(), self.n_controls(), "predict_flux: control length");
+        DVec::from_fn(self.f0.len(), |k| {
+            self.f0[k] + dot8(self.s.row(k), c.as_slice())
+        })
     }
 
     /// Surrogate cost `Ĵ(c) = Σ wᵢ (flux̂ᵢ − cos πxᵢ)²` — the exact
     /// discrete cost head over the predicted flux, so `Ĵ` and the solver
-    /// cost differ only by the network's flux error.
+    /// cost differ only by the fit's flux error.
     pub fn cost(&self, c: &DVec) -> f64 {
-        let flux = self.predict_flux(c);
-        let mut j = 0.0;
-        for i in 0..flux.len() {
-            let d = flux[i] - self.target[i];
-            j += self.weights[i] * d * d;
-        }
-        j
+        self.cost_and_residual(c).0
     }
 
-    /// Cost and `dĴ/dc` by one reverse sweep through the frozen network —
-    /// the amortized replacement for the DP tape's solve node.
+    /// Cost and the closed-form `dĴ/dc = 2 Sᵀ W (f₀ + S c − t)` — the
+    /// amortized replacement for the DP tape's solve node.
     pub fn cost_and_grad(&self, c: &DVec) -> (f64, DVec) {
-        let tape = Tape::new();
-        let m = self.target.len();
-        let cv = tape.var(DMat::from_vec(1, c.len(), c.as_slice().to_vec()));
-        let z = self.frozen.forward_control(cv.scale(1.0 / self.in_scale));
-        let scale_row = DMat::from_fn(1, m, |_, j| self.flux_scale[j]);
-        let shift_row = DMat::from_fn(1, m, |_, j| self.flux_mean[j] - self.target[j]);
-        let diff = z.mul_const(&scale_row).add_const(&shift_row).transpose();
-        let j = diff.sq().dot_const(&tensor::from_dvec(&self.weights));
-        let jval = j.scalar_value();
-        let grads = tape.backward(j);
-        (jval, DVec(grads.wrt(cv).row(0).to_vec()))
+        let (j, r) = self.cost_and_residual(c);
+        let mut g = DVec::zeros(c.len());
+        for (k, &rk) in r.iter().enumerate() {
+            let wk = 2.0 * self.weights[k] * rk;
+            for (gi, &ski) in g.iter_mut().zip(self.s.row(k)) {
+                *gi += wk * ski;
+            }
+        }
+        (j, g)
     }
 
-    /// Training summary (initial/final MSE, epochs).
-    pub fn fit_report(&self) -> &FitReport {
-        &self.fit
+    /// `(Ĵ(c), flux̂(c) − t)`.
+    fn cost_and_residual(&self, c: &DVec) -> (f64, DVec) {
+        let mut r = self.predict_flux(c);
+        let mut j = 0.0;
+        for i in 0..r.len() {
+            r[i] -= self.target[i];
+            j += self.weights[i] * r[i] * r[i];
+        }
+        (j, r)
     }
 
-    /// Number of (control, flux) pairs the network was trained on.
+    /// Number of (control, flux) pairs the surrogate was fitted to.
     pub fn n_training_pairs(&self) -> usize {
         self.n_pairs
     }
 
-    /// Resident bytes of the frozen operator plus the cost head.
+    /// Resident bytes of the fitted map plus the cost head.
     pub fn memory_bytes(&self) -> usize {
-        self.frozen.memory_bytes()
-            + (self.weights.len() + self.target.len()) * std::mem::size_of::<f64>()
+        (self.s.as_slice().len() + self.f0.len() + self.weights.len() + self.target.len())
+            * std::mem::size_of::<f64>()
     }
 }
 
 /// [`ControlObjective`] over a frozen surrogate: drives the stock
 /// optimizer loop (`optimize_ctx`) without touching the solver. The
-/// default finite-difference [`ControlObjective::hvp`] of the tape
+/// default finite-difference [`ControlObjective::hvp`] of the closed-form
 /// gradient serves the second-order optimizers.
 pub struct SurrogateObjective<'a> {
     surrogate: &'a LaplaceSurrogate,
@@ -466,9 +324,32 @@ mod tests {
             let j_true = p.cost(&c).unwrap();
             let j_surr = s.cost(&c);
             assert!(
-                (j_true - j_surr).abs() < 0.15 * (1.0 + j_true),
+                (j_true - j_surr).abs() < 1e-8 * (1.0 + j_true),
                 "seed {seed}: J={j_true:.4e} vs Ĵ={j_surr:.4e}"
             );
+        }
+    }
+
+    #[test]
+    fn surrogate_reproduces_solver_flux_at_every_training_control() {
+        for p in [problem(), LaplaceControlProblem::new_sparse(10).unwrap()] {
+            let spec = SurrogateSpec::default();
+            let pairs = training_set(&p, &spec, 4).unwrap();
+            let s = LaplaceSurrogate::train(&p, &spec, 4).unwrap();
+            assert_eq!(s.n_training_pairs(), pairs.len());
+            for (k, pair) in pairs.iter().enumerate() {
+                assert_eq!(
+                    pair.cost.to_bits(),
+                    p.cost(&pair.control).unwrap().to_bits()
+                );
+                let pred = s.predict_flux(&pair.control);
+                let rel = (&pred - &pair.flux).norm2() / pair.flux.norm2();
+                assert!(
+                    rel <= 1e-8,
+                    "{:?} pair {k}: relative flux error {rel:.3e}",
+                    p.backend_kind()
+                );
+            }
         }
     }
 
@@ -477,7 +358,8 @@ mod tests {
         let p = problem();
         let s = LaplaceSurrogate::train(&p, &SurrogateSpec::default(), 3).unwrap();
         let c = sample_control(p.n_controls(), 0.8, 11);
-        let (_, g) = s.cost_and_grad(&c);
+        let (j, g) = s.cost_and_grad(&c);
+        assert_eq!(j.to_bits(), s.cost(&c).to_bits());
         let h = 1e-6;
         for i in 0..c.len() {
             let mut cp = c.clone();
@@ -487,7 +369,7 @@ mod tests {
             let fd = (s.cost(&cp) - s.cost(&cm)) / (2.0 * h);
             assert!(
                 (g[i] - fd).abs() < 1e-5 * (1.0 + fd.abs()),
-                "component {i}: tape {:.6e} vs fd {fd:.6e}",
+                "component {i}: closed form {:.6e} vs fd {fd:.6e}",
                 g[i]
             );
         }
@@ -497,7 +379,7 @@ mod tests {
     fn training_is_deterministic_in_the_fingerprint() {
         let p = problem();
         let spec = SurrogateSpec {
-            epochs: 60,
+            n_samples: 12,
             ..SurrogateSpec::default()
         };
         let a = LaplaceSurrogate::train(&p, &spec, 5).unwrap();
@@ -506,25 +388,20 @@ mod tests {
         assert_eq!(a.cost(&c).to_bits(), b.cost(&c).to_bits());
         assert_eq!(spec.fingerprint(5), spec.fingerprint(5));
         assert_ne!(spec.fingerprint(5), spec.fingerprint(6));
+        assert_ne!(spec.fingerprint(5), SurrogateSpec::default().fingerprint(5));
     }
 
     #[test]
     fn bad_surrogate_specs_are_rejected() {
-        let zero_epochs = SurrogateSpec {
-            epochs: 0,
-            ..SurrogateSpec::default()
-        };
-        assert!(zero_epochs.validate().is_err());
-        let bad_lr = SurrogateSpec {
-            train_lr: f64::NAN,
-            ..SurrogateSpec::default()
-        };
-        assert!(bad_lr.validate().is_err());
-        let zero_latent = SurrogateSpec {
-            latent: 0,
-            ..SurrogateSpec::default()
-        };
-        assert!(zero_latent.validate().is_err());
+        for amplitude in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = SurrogateSpec {
+                sample_amplitude: amplitude,
+                ..SurrogateSpec::default()
+            };
+            assert!(bad.validate().is_err(), "amplitude {amplitude}");
+            assert!(training_set(&problem(), &bad, 0).is_err());
+        }
+        assert!(SurrogateSpec::default().validate().is_ok());
     }
 
     #[test]

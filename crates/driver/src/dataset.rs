@@ -52,9 +52,10 @@ pub fn harvested_spec(base: &SurrogateSpec, records: &[LedgerRecord]) -> Surroga
 
 /// Materializes the full training set `(c, u_flux, J)` a spec implies:
 /// the probing controls (zero, unit directions, seeded random draws) plus
-/// one reconstructed control per harvested seed, each forward-solved on
-/// the built problem. This is the dataset [`LaplaceSurrogate::train`]
-/// fits — exposed so campaigns can inspect or export it.
+/// one reconstructed control per harvested seed, forward-solved in one
+/// batch on the built problem. This is exactly the dataset
+/// [`LaplaceSurrogate::train`] fits ([`surrogate::training_set`]) —
+/// exposed so campaigns can inspect or export it.
 ///
 /// [`LaplaceSurrogate::train`]: control::surrogate::LaplaceSurrogate::train
 pub fn training_pairs(
@@ -65,10 +66,7 @@ pub fn training_pairs(
     let p = built
         .laplace()
         .ok_or_else(|| ControlError::BadConfig("ledger harvesting is Laplace-only".to_string()))?;
-    surrogate::training_controls(p.n_controls(), spec, seed)
-        .into_iter()
-        .map(|c| surrogate::forward_pair(p, c))
-        .collect()
+    surrogate::training_set(p, spec, seed)
 }
 
 #[cfg(test)]

@@ -342,39 +342,43 @@ impl LaplaceControlProblem {
 
     /// The discrete cost `J(c) = Σ wᵢ (flux(xᵢ) − cos πxᵢ)²`.
     pub fn cost(&self, c: &DVec) -> Result<f64, LinalgError> {
-        let coeffs = self.solve_coeffs(c)?;
-        let flux = self.flux_top(&coeffs);
+        Ok(self.flux_cost(&self.flux_top(&self.solve_coeffs(c)?)))
+    }
+
+    /// The cost integral `Σ wᵢ (fluxᵢ − cos πxᵢ)²` of a top-wall flux
+    /// profile — the quadrature every cost in this module ends with.
+    pub fn flux_cost(&self, flux: &DVec) -> f64 {
         let mut j = 0.0;
         for i in 0..flux.len() {
             let d = flux[i] - self.target[(i, 0)];
             j += self.weights[i] * d * d;
         }
-        Ok(j)
+        j
+    }
+
+    /// Batched forward map: the top-wall flux profile of each control,
+    /// from one [`LinearBackend::solve_many`] over all of them. Each
+    /// profile equals `flux_top(&solve_coeffs(c))` bit for bit (the
+    /// backend's batched contract).
+    pub fn flux_top_many(&self, controls: &[DVec]) -> Result<Vec<DVec>, LinalgError> {
+        let rhs: Vec<DVec> = controls.iter().map(|c| self.rhs(c)).collect();
+        let coeffs = self.backend.solve_many(&rhs)?;
+        Ok(coeffs.iter().map(|co| self.flux_top(co)).collect())
     }
 
     /// Batched [`LaplaceControlProblem::cost`]: one objective value per
     /// control vector, all sharing the cached operator.
     ///
-    /// The forward solves go through [`LinearBackend::solve_many`], so on
-    /// the dense backend a batch of controls costs one blocked
+    /// The forward solves go through [`LaplaceControlProblem::flux_top_many`],
+    /// so on the dense backend a batch of controls costs one blocked
     /// multi-RHS substitution pass instead of `k` separate solves — the
     /// kernel under the serve daemon's request batcher. Guaranteed to
-    /// return exactly the bits of `k` standalone `cost` calls (the
-    /// backend's batched contract).
+    /// return exactly the bits of `k` standalone `cost` calls.
     pub fn cost_many(&self, controls: &[DVec]) -> Result<Vec<f64>, LinalgError> {
-        let rhs: Vec<DVec> = controls.iter().map(|c| self.rhs(c)).collect();
-        let coeffs = self.backend.solve_many(&rhs)?;
-        Ok(coeffs
+        Ok(self
+            .flux_top_many(controls)?
             .iter()
-            .map(|co| {
-                let flux = self.flux_top(co);
-                let mut j = 0.0;
-                for i in 0..flux.len() {
-                    let d = flux[i] - self.target[(i, 0)];
-                    j += self.weights[i] * d * d;
-                }
-                j
-            })
+            .map(|f| self.flux_cost(f))
             .collect())
     }
 
@@ -496,14 +500,11 @@ impl LaplaceControlProblem {
             .iter()
             .map(|co| {
                 let flux = self.flux_top(co);
-                let mut j = 0.0;
                 let mut b = DVec::zeros(self.size);
                 for i in 0..flux.len() {
-                    let d = flux[i] - self.target[(i, 0)];
-                    j += self.weights[i] * d * d;
-                    b[self.top_idx[i]] = 2.0 * d;
+                    b[self.top_idx[i]] = 2.0 * (flux[i] - self.target[(i, 0)]);
                 }
-                costs.push(j);
+                costs.push(self.flux_cost(&flux));
                 b
             })
             .collect();
@@ -574,6 +575,25 @@ mod tests {
         assert_eq!(batched.len(), controls.len());
         for (c, &j) in controls.iter().zip(&batched) {
             assert_eq!(j.to_bits(), p.cost(c).unwrap().to_bits());
+        }
+    }
+
+    #[test]
+    fn flux_top_many_matches_standalone_solves_bitwise_on_both_backends() {
+        let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [problem(), LaplaceControlProblem::new_sparse(12).unwrap()] {
+            let n = p.n_controls();
+            for width in [1, 3, 9, 2 * n] {
+                let controls: Vec<DVec> = (0..width)
+                    .map(|k| DVec::from_fn(n, |i| 0.2 * (i as f64 - 0.9 * k as f64).sin()))
+                    .collect();
+                let batched = p.flux_top_many(&controls).unwrap();
+                assert_eq!(batched.len(), width);
+                for (k, (c, f)) in controls.iter().zip(&batched).enumerate() {
+                    let one = p.flux_top(&p.solve_coeffs(c).unwrap());
+                    assert_eq!(bits(f), bits(&one), "width {width}, flux {k}");
+                }
+            }
         }
     }
 

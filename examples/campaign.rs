@@ -10,8 +10,27 @@
 //! Kill it mid-flight and run it again: completed specs are skipped, and
 //! the final ledger is byte-identical to an uninterrupted run.
 
-use meshfree_oc::driver::{BackendKind, Campaign, OptimizerKind, RunSpec, Strategy};
+use meshfree_oc::driver::{BackendKind, Campaign, Ledger, OptimizerKind, RunSpec, Strategy};
+use std::path::Path;
 use std::time::Duration;
+
+/// Largest relative audit gap the smoke run accepts for its neural-op spec.
+const MAX_AUDIT_GAP: f64 = 0.05;
+
+/// The neural-op record's audit gap `|J_audit − Ĵ| / J_audit`: the final
+/// history entry is the DP audit re-solve, the penultimate one the
+/// surrogate's own estimate of the same control.
+fn neural_op_audit_gap(ledger: &Path, spec_id: &str) -> f64 {
+    let (_, records) = Ledger::open(ledger, "smoke").expect("smoke ledger");
+    let rec = records
+        .iter()
+        .find(|r| r.spec_id == spec_id)
+        .expect("the neural-op spec has a ledger record");
+    let [.., estimate, audited] = rec.cost_history[..] else {
+        panic!("neural-op record {spec_id} lacks the estimate and the audit");
+    };
+    (audited - estimate).abs() / audited
+}
 
 /// An 8-spec campaign — three synthetic, one injected NaN-diverging spec,
 /// one real Laplace run on the sparse GMRES+ILU0 backend, one sparse-NS
@@ -20,7 +39,8 @@ use std::time::Duration;
 /// run; used by CI to prove the retry path, the non-default backend
 /// plumbing (for both PDEs), the optimizer selection and the surrogate
 /// train/freeze/optimize lifecycle end-to-end. Panics (non-zero exit) if
-/// the faulty spec is not retried exactly once or any spec is lost.
+/// the faulty spec is not retried exactly once, any spec is lost, or the
+/// neural-op record's audit gap exceeds [`MAX_AUDIT_GAP`].
 fn run_smoke() {
     let path = std::env::temp_dir().join(format!(
         "meshfree-campaign-smoke-{}.jsonl",
@@ -87,9 +107,9 @@ fn run_smoke() {
             .label("smoke-newton-cg-dal")
             .build(),
     );
-    // One amortized spec: train a DeepONet surrogate on forward solves,
-    // freeze it, optimize through the frozen tape, audit with one real
-    // solve — the `-neural-op` run id through the campaign path.
+    // One amortized spec: fit the affine surrogate to one batched forward
+    // solve, optimize through it, audit with one real solve — the
+    // `-neural-op` run id through the campaign path.
     campaign = campaign.spec(
         RunSpec::laplace()
             .nx(12)
@@ -105,9 +125,14 @@ fn run_smoke() {
     assert!(summary.all_done(), "smoke campaign left unfinished specs");
     assert_eq!(summary.retried, 1, "the injected NaN spec must retry once");
     assert_eq!(summary.lost, 0, "no spec may be lost");
+    let gap = neural_op_audit_gap(&path, "smoke-neural-op");
     let _ = std::fs::remove_file(&path);
+    assert!(
+        gap <= MAX_AUDIT_GAP,
+        "neural-op audit gap {gap:.3e} exceeds {MAX_AUDIT_GAP}"
+    );
     println!(
-        "smoke campaign OK: {} done, 1 retried, 0 lost",
+        "smoke campaign OK: {} done, 1 retried, 0 lost, neural-op audit gap {gap:.2e}",
         summary.done
     );
 }

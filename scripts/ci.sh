@@ -68,10 +68,11 @@ echo "==> campaign driver smoke (retry path, fault injection)"
 # on the sparse GMRES+ILU0 backend, one Navier–Stokes run on the RBF-FD
 # saddle + Schur-GMRES backend, one second-order (Newton-CG DAL) Laplace
 # run, and one amortized (neural-op surrogate) Laplace run: the example
-# asserts exactly one spec was retried and none were lost, exiting
-# non-zero otherwise — the driver's fault tolerance, the non-default
-# linear-solver backends (both PDEs), the optimizer selection and the
-# surrogate lifecycle are exercised end-to-end on every CI run.
+# asserts exactly one spec was retried, none were lost, and the neural-op
+# ledger record's audit gap |final - penultimate cost| / final is at most
+# 0.05, exiting non-zero otherwise — the driver's fault tolerance, the
+# non-default linear-solver backends (both PDEs), the optimizer selection
+# and the surrogate's accuracy are exercised end-to-end on every CI run.
 cargo run -q --release --example campaign -- --smoke
 
 echo "==> serve daemon smoke (cache amortization over the wire)"

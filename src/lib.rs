@@ -21,7 +21,7 @@
 //! * [`opt`] — Adam/SGD with the paper's learning-rate schedule.
 //! * [`control`] — the DAL/DP/PINN drivers, the two-step ω line search,
 //!   the unified `RunSpec`/`Strategy` front door (including the
-//!   `Strategy::NeuralOp` DeepONet surrogate with its
+//!   `Strategy::NeuralOp` affine surrogate with its
 //!   train/freeze/optimize/audit lifecycle), and the Table 3
 //!   instrumentation.
 //! * [`driver`] — the fault-tolerant batch campaign engine: concurrent
