@@ -213,8 +213,17 @@ impl Tape {
         nodes.len() - 1
     }
 
-    fn value_of(&self, idx: usize) -> Tensor {
-        self.nodes.borrow()[idx].value.clone()
+    /// Applies `f` to node `idx`'s value in place, with no copy. The node
+    /// list stays borrowed only while `f` runs, so the caller may then
+    /// [`Tape::push`] the result.
+    fn with_value<R>(&self, idx: usize, f: impl FnOnce(&Tensor) -> R) -> R {
+        f(&self.nodes.borrow()[idx].value)
+    }
+
+    /// [`Tape::with_value`] over two nodes' values.
+    fn with_values<R>(&self, a: usize, b: usize, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+        let nodes = self.nodes.borrow();
+        f(&nodes[a].value, &nodes[b].value)
     }
 
     fn shape_of(&self, idx: usize) -> (usize, usize) {
@@ -245,7 +254,7 @@ impl Tape {
         be: &Arc<dyn LinearBackend>,
         b: TVar<'t>,
     ) -> Result<TVar<'t>, LinalgError> {
-        let bv = tensor::to_dvec(&b.value());
+        let bv = self.with_value(b.idx, tensor::to_dvec);
         let x = be.solve(&bv)?;
         Ok(TVar {
             tape: self,
@@ -280,15 +289,16 @@ impl Tape {
         a: TVar<'t>,
         b: TVar<'t>,
     ) -> Result<TVar<'t>, LinalgError> {
-        let av = a.value();
-        let be: Arc<dyn LinearBackend> = match kind {
-            BackendKind::DenseLu => Arc::new(Lu::factor(&av)?),
-            BackendKind::SparseGmres => Arc::new(SparseIterative::gmres_ilu0(
-                sparsify(&av),
-                taped_sparse_opts(),
-            )),
-        };
-        let bv = tensor::to_dvec(&b.value());
+        let be = self.with_value(a.idx, |av| -> Result<Arc<dyn LinearBackend>, LinalgError> {
+            Ok(match kind {
+                BackendKind::DenseLu => Arc::new(Lu::factor(av)?),
+                BackendKind::SparseGmres => Arc::new(SparseIterative::gmres_ilu0(
+                    sparsify(av),
+                    taped_sparse_opts(),
+                )),
+            })
+        })?;
+        let bv = self.with_value(b.idx, tensor::to_dvec);
         let x = be.solve(&bv)?;
         Ok(TVar {
             tape: self,
@@ -333,12 +343,12 @@ impl Tape {
         );
         for (s, c) in scales.iter().zip(structs) {
             assert_eq!(
-                s.value().nrows(),
+                s.shape().0,
                 c.nrows(),
                 "solve_scaled: scale/structure row mismatch"
             );
         }
-        let bv = tensor::to_dvec(&b.value());
+        let bv = self.with_value(b.idx, tensor::to_dvec);
         let x = be.solve(&bv)?;
         Ok(TVar {
             tape: self,
@@ -363,11 +373,10 @@ impl Tape {
         a: TVar<'t>,
         bs: &[TVar<'t>],
     ) -> Result<Vec<TVar<'t>>, LinalgError> {
-        let av = a.value();
-        let be: Arc<dyn LinearBackend> = Arc::new(Lu::factor(&av)?);
+        let be: Arc<dyn LinearBackend> = Arc::new(self.with_value(a.idx, Lu::factor)?);
         let mut out = Vec::with_capacity(bs.len());
         for b in bs {
-            let bv = tensor::to_dvec(&b.value());
+            let bv = self.with_value(b.idx, tensor::to_dvec);
             let x = be.solve(&bv)?;
             out.push(TVar {
                 tape: self,
@@ -387,9 +396,11 @@ impl Tape {
     /// Vertically concatenates variables.
     pub fn concat_rows<'t>(&'t self, parts: &[TVar<'t>]) -> TVar<'t> {
         assert!(!parts.is_empty(), "concat_rows: empty input");
-        let values: Vec<Tensor> = parts.iter().map(|p| p.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let value = tensor::vstack(&refs);
+        let value = {
+            let nodes = self.nodes.borrow();
+            let refs: Vec<&Tensor> = parts.iter().map(|p| &nodes[p.idx].value).collect();
+            tensor::vstack(&refs)
+        };
         TVar {
             tape: self,
             idx: self.push(Op::ConcatRows(parts.iter().map(|p| p.idx).collect()), value),
@@ -637,9 +648,7 @@ macro_rules! unary_op {
     ($name:ident, $variant:ident, $fwd:expr) => {
         /// Elementwise operation recorded on the tape.
         pub fn $name(self) -> TVar<'t> {
-            let v = self.value();
-            #[allow(clippy::redundant_closure_call)]
-            let out = ($fwd)(&v);
+            let out = self.with_value($fwd);
             TVar {
                 tape: self.tape,
                 idx: self.tape.push(Op::$variant(self.idx), out),
@@ -652,7 +661,7 @@ macro_rules! unary_op {
 impl<'t> TVar<'t> {
     /// The current (primal) value.
     pub fn value(&self) -> Tensor {
-        self.tape.value_of(self.idx)
+        self.with_value(Tensor::clone)
     }
 
     /// `(rows, cols)` of the value.
@@ -662,9 +671,20 @@ impl<'t> TVar<'t> {
 
     /// The value of a `1 × 1` variable.
     pub fn scalar_value(&self) -> f64 {
-        let v = self.value();
-        assert_eq!(v.shape(), (1, 1), "scalar_value: not 1 x 1");
-        v[(0, 0)]
+        self.with_value(|v| {
+            assert_eq!(v.shape(), (1, 1), "scalar_value: not 1 x 1");
+            v[(0, 0)]
+        })
+    }
+
+    /// [`Tape::with_value`] on this variable.
+    fn with_value<R>(&self, f: impl FnOnce(&Tensor) -> R) -> R {
+        self.tape.with_value(self.idx, f)
+    }
+
+    /// [`Tape::with_values`] on this variable and `o`.
+    fn with_values<R>(&self, o: TVar<'t>, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+        self.tape.with_values(self.idx, o.idx, f)
     }
 
     fn binary(self, o: TVar<'t>, op: Op, value: Tensor) -> TVar<'t> {
@@ -680,31 +700,31 @@ impl<'t> TVar<'t> {
 
     /// Elementwise addition.
     pub fn add(self, o: TVar<'t>) -> TVar<'t> {
-        let v = &self.value() + &o.value();
+        let v = self.with_values(o, |a, b| a + b);
         self.binary(o, Op::Add(self.idx, o.idx), v)
     }
 
     /// Elementwise subtraction.
     pub fn sub(self, o: TVar<'t>) -> TVar<'t> {
-        let v = &self.value() - &o.value();
+        let v = self.with_values(o, |a, b| a - b);
         self.binary(o, Op::Sub(self.idx, o.idx), v)
     }
 
     /// Elementwise product.
     pub fn mul(self, o: TVar<'t>) -> TVar<'t> {
-        let v = tensor::ew_mul(&self.value(), &o.value());
+        let v = self.with_values(o, tensor::ew_mul);
         self.binary(o, Op::Mul(self.idx, o.idx), v)
     }
 
     /// Elementwise quotient.
     pub fn div(self, o: TVar<'t>) -> TVar<'t> {
-        let v = tensor::ew_div(&self.value(), &o.value());
+        let v = self.with_values(o, tensor::ew_div);
         self.binary(o, Op::Div(self.idx, o.idx), v)
     }
 
     /// Negation.
     pub fn neg(self) -> TVar<'t> {
-        let v = &self.value() * -1.0;
+        let v = self.with_value(|a| a * -1.0);
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Neg(self.idx), v),
@@ -713,7 +733,7 @@ impl<'t> TVar<'t> {
 
     /// Multiplication by a scalar constant.
     pub fn scale(self, c: f64) -> TVar<'t> {
-        let v = &self.value() * c;
+        let v = self.with_value(|a| a * c);
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Scale(self.idx, c), v),
@@ -722,7 +742,7 @@ impl<'t> TVar<'t> {
 
     /// Elementwise addition of a constant tensor.
     pub fn add_const(self, c: &Tensor) -> TVar<'t> {
-        let v = &self.value() + c;
+        let v = self.with_value(|a| a + c);
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::AddConst(self.idx), v),
@@ -731,7 +751,7 @@ impl<'t> TVar<'t> {
 
     /// Elementwise product with a constant tensor.
     pub fn mul_const(self, c: &Tensor) -> TVar<'t> {
-        let v = tensor::ew_mul(&self.value(), c);
+        let v = self.with_value(|a| tensor::ew_mul(a, c));
         TVar {
             tape: self.tape,
             idx: self
@@ -742,13 +762,13 @@ impl<'t> TVar<'t> {
 
     /// Matrix product with another variable.
     pub fn matmul(self, o: TVar<'t>) -> TVar<'t> {
-        let v = self.value().matmul(&o.value()).expect("matmul shape");
+        let v = self.with_values(o, |a, b| a.matmul(b).expect("matmul shape"));
         self.binary(o, Op::MatMul(self.idx, o.idx), v)
     }
 
     /// `C · self` with a constant left factor.
     pub fn matmul_const_l(self, c: &Arc<Tensor>) -> TVar<'t> {
-        let v = c.matmul(&self.value()).expect("matmul_const_l shape");
+        let v = self.with_value(|a| c.matmul(a).expect("matmul_const_l shape"));
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::MatMulConstL(Arc::clone(c), self.idx), v),
@@ -757,7 +777,7 @@ impl<'t> TVar<'t> {
 
     /// `self · C` with a constant right factor.
     pub fn matmul_const_r(self, c: &Arc<Tensor>) -> TVar<'t> {
-        let v = self.value().matmul(c).expect("matmul_const_r shape");
+        let v = self.with_value(|a| a.matmul(c).expect("matmul_const_r shape"));
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::MatMulConstR(self.idx, Arc::clone(c)), v),
@@ -766,7 +786,7 @@ impl<'t> TVar<'t> {
 
     /// Transpose.
     pub fn transpose(self) -> TVar<'t> {
-        let v = self.value().transpose();
+        let v = self.with_value(Tensor::transpose);
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Transpose(self.idx), v),
@@ -775,7 +795,7 @@ impl<'t> TVar<'t> {
 
     /// Sum of all entries (`1 × 1`).
     pub fn sum(self) -> TVar<'t> {
-        let v = tensor::scalar(self.value().as_slice().iter().sum());
+        let v = self.with_value(|a| tensor::scalar(a.as_slice().iter().sum()));
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Sum(self.idx), v),
@@ -784,9 +804,9 @@ impl<'t> TVar<'t> {
 
     /// Mean of all entries (`1 × 1`).
     pub fn mean(self) -> TVar<'t> {
-        let val = self.value();
-        let n = tensor::numel(&val) as f64;
-        let v = tensor::scalar(val.as_slice().iter().sum::<f64>() / n);
+        let v = self.with_value(|a| {
+            tensor::scalar(a.as_slice().iter().sum::<f64>() / tensor::numel(a) as f64)
+        });
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Mean(self.idx), v),
@@ -795,7 +815,7 @@ impl<'t> TVar<'t> {
 
     /// Sum of squares (`1 × 1`).
     pub fn sum_sq(self) -> TVar<'t> {
-        let v = tensor::scalar(self.value().as_slice().iter().map(|x| x * x).sum());
+        let v = self.with_value(|a| tensor::scalar(a.as_slice().iter().map(|x| x * x).sum()));
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::SumSq(self.idx), v),
@@ -804,31 +824,32 @@ impl<'t> TVar<'t> {
 
     /// Frobenius inner product with another variable (`1 × 1`).
     pub fn dot(self, o: TVar<'t>) -> TVar<'t> {
-        let a = self.value();
-        let b = o.value();
-        assert_eq!(a.shape(), b.shape(), "dot: shape mismatch");
-        let v = tensor::scalar(
-            a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .map(|(x, y)| x * y)
-                .sum(),
-        );
+        let v = self.with_values(o, |a, b| {
+            assert_eq!(a.shape(), b.shape(), "dot: shape mismatch");
+            tensor::scalar(
+                a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .map(|(x, y)| x * y)
+                    .sum(),
+            )
+        });
         self.binary(o, Op::Dot(self.idx, o.idx), v)
     }
 
     /// Frobenius inner product with a constant tensor (`1 × 1`), e.g. a
     /// quadrature-weight vector.
     pub fn dot_const(self, c: &Tensor) -> TVar<'t> {
-        let a = self.value();
-        assert_eq!(a.shape(), c.shape(), "dot_const: shape mismatch");
-        let v = tensor::scalar(
-            a.as_slice()
-                .iter()
-                .zip(c.as_slice())
-                .map(|(x, y)| x * y)
-                .sum(),
-        );
+        let v = self.with_value(|a| {
+            assert_eq!(a.shape(), c.shape(), "dot_const: shape mismatch");
+            tensor::scalar(
+                a.as_slice()
+                    .iter()
+                    .zip(c.as_slice())
+                    .map(|(x, y)| x * y)
+                    .sum(),
+            )
+        });
         TVar {
             tape: self.tape,
             idx: self
@@ -845,7 +866,7 @@ impl<'t> TVar<'t> {
 
     /// Elementwise integer power.
     pub fn powi(self, n: i32) -> TVar<'t> {
-        let v = self.value().map(|x| x.powi(n));
+        let v = self.with_value(|a| a.map(|x| x.powi(n)));
         TVar {
             tape: self.tape,
             idx: self.tape.push(Op::Powi(self.idx, n), v),
@@ -859,8 +880,7 @@ impl<'t> TVar<'t> {
 
     /// Contiguous row slice `[r0, r0 + rows)`.
     pub fn slice_rows(self, r0: usize, rows: usize) -> TVar<'t> {
-        let val = self.value();
-        let v = val.block(r0, 0, rows, val.ncols());
+        let v = self.with_value(|a| a.block(r0, 0, rows, a.ncols()));
         TVar {
             tape: self.tape,
             idx: self.tape.push(
@@ -876,8 +896,7 @@ impl<'t> TVar<'t> {
 
     /// Row gather by an index list (scatter-add on the way back).
     pub fn gather_rows(self, idx: &[usize]) -> TVar<'t> {
-        let val = self.value();
-        let v = DMat::from_fn(idx.len(), val.ncols(), |i, j| val[(idx[i], j)]);
+        let v = self.with_value(|a| DMat::from_fn(idx.len(), a.ncols(), |i, j| a[(idx[i], j)]));
         TVar {
             tape: self.tape,
             idx: self.tape.push(
@@ -894,11 +913,11 @@ impl<'t> TVar<'t> {
     /// column. This is how state-dependent operators (e.g. the advection
     /// term `u·∂x`) enter the differentiable assembly.
     pub fn row_scale_const(self, c: &Arc<Tensor>) -> TVar<'t> {
-        let s = self.value();
-        assert_eq!(s.ncols(), 1, "row_scale_const: scale must be a column");
-        assert_eq!(s.nrows(), c.nrows(), "row_scale_const: row mismatch");
-        let scol: Vec<f64> = s.as_slice().to_vec();
-        let v = c.scale_rows(&scol);
+        let v = self.with_value(|s| {
+            assert_eq!(s.ncols(), 1, "row_scale_const: scale must be a column");
+            assert_eq!(s.nrows(), c.nrows(), "row_scale_const: row mismatch");
+            c.scale_rows(s.as_slice())
+        });
         TVar {
             tape: self.tape,
             idx: self.tape.push(
@@ -913,7 +932,7 @@ impl<'t> TVar<'t> {
 
     /// Adds a `1 × n` row variable to every row of this `m × n` variable.
     pub fn broadcast_add_row(self, r: TVar<'t>) -> TVar<'t> {
-        let v = tensor::broadcast_add_row(&self.value(), &r.value());
+        let v = self.with_values(r, tensor::broadcast_add_row);
         self.binary(r, Op::BroadcastAddRow(self.idx, r.idx), v)
     }
 }

@@ -1,5 +1,6 @@
 //! Criterion benches for the RBF discretisation layer: global collocation
-//! assembly, fit factorization, differentiation matrices, and RBF-FD
+//! assembly, the fit-matrix factorisation that `diff_matrices` and
+//! `fit_values` pay per call, differentiation matrices, and RBF-FD
 //! stencil generation — the setup costs every experiment pays once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -7,7 +8,8 @@ use geometry::generators::{unit_square_grid, BoundaryClass};
 use geometry::{NodeKind, Point2};
 use linalg::Lu;
 use rbf::fd::{fd_matrix, FdConfig};
-use rbf::{DiffOp, GlobalCollocation, RbfKernel};
+use rbf::operators::fit_matrix;
+use rbf::{DiffOp, GlobalCollocation, PolyBasis, RbfKernel};
 use std::hint::black_box;
 
 fn all_dirichlet(p: Point2) -> BoundaryClass {
@@ -32,10 +34,13 @@ fn bench_collocation(c: &mut Criterion) {
             BenchmarkId::new("fit_factor", n_side * n_side),
             &nodes,
             |b, nodes| {
-                b.iter(|| GlobalCollocation::new(black_box(nodes), RbfKernel::Phs3, 1).unwrap())
+                b.iter(|| {
+                    let fit = fit_matrix(black_box(nodes), RbfKernel::Phs3, PolyBasis::new(1));
+                    Lu::factor(&fit).unwrap()
+                })
             },
         );
-        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1).unwrap();
+        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1);
         g.bench_with_input(
             BenchmarkId::new("pde_assemble", n_side * n_side),
             &ctx,
@@ -55,7 +60,7 @@ fn bench_diff_matrices(c: &mut Criterion) {
     g.sample_size(10);
     for &n_side in &[10usize, 14] {
         let nodes = unit_square_grid(n_side, n_side, all_dirichlet);
-        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1).unwrap();
+        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1);
         g.bench_with_input(
             BenchmarkId::from_parameter(n_side * n_side),
             &ctx,

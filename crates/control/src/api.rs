@@ -1308,13 +1308,14 @@ impl BuiltProblem {
     }
 
     /// Resident bytes this build pins while cached: the prepared linear
-    /// backend (dense factors or sparse pattern + preconditioners) for
-    /// Laplace, the assembled constant operators for Navier–Stokes, plus
-    /// any trained surrogates. This is the quantity the serve daemon's
-    /// `FactorCache` meters against `MESHFREE_CACHE_BYTES`.
+    /// backend and the constant tensors for Laplace
+    /// ([`LaplaceControlProblem::memory_bytes`]), the assembled constant
+    /// operators for Navier–Stokes, plus any trained surrogates. This is
+    /// the quantity the serve daemon's `FactorCache` meters against
+    /// `MESHFREE_CACHE_BYTES`.
     pub fn memory_bytes(&self) -> usize {
         let base = match &self.kind {
-            BuiltKind::Laplace(p) => p.backend().memory_bytes(),
+            BuiltKind::Laplace(p) => p.memory_bytes(),
             BuiltKind::NavierStokes(s) => s.memory_bytes(),
             BuiltKind::Synthetic => 0,
         };

@@ -34,7 +34,7 @@ impl AdvDiffProblem {
         kernel: RbfKernel,
         degree: i32,
     ) -> Result<Self, LinalgError> {
-        let ctx = GlobalCollocation::new(nodes, kernel, degree)?;
+        let ctx = GlobalCollocation::new(nodes, kernel, degree);
         let dm = ctx.diff_matrices()?;
         let n = nodes.len();
         let mut a = DMat::zeros(n, n);

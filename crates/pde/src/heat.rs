@@ -86,7 +86,7 @@ impl HeatControlProblem {
                 (NodeKind::Dirichlet, tags::RIGHT, Point2::new(1.0, 0.0))
             }
         });
-        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1)?;
+        let ctx = GlobalCollocation::new(&nodes, RbfKernel::Phs3, 1);
         let dm = ctx.diff_matrices()?;
         let n = nodes.len();
 

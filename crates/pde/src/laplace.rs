@@ -29,7 +29,7 @@ use geometry::{quadrature, NodeKind, Point2};
 use linalg::{
     BackendKind, DMat, DVec, IterOpts, LinalgError, LinearBackend, Lu, SparseIterative, Triplets,
 };
-use rbf::fd::{fd_matrix, FdConfig};
+use rbf::fd::{fd_matrices_multi, FdConfig, StencilSet};
 use rbf::{DiffOp, GlobalCollocation, RbfKernel};
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -112,8 +112,19 @@ impl LaplaceControlProblem {
             stencil_size: 13,
             degree: 2,
         };
-        let lap = fd_matrix(&nodes, RbfKernel::Phs3, fd, DiffOp::Lap)?;
-        let dy = fd_matrix(&nodes, RbfKernel::Phs3, fd, DiffOp::Dy)?;
+        // One stencil search and one local factorisation per node serve
+        // both operators (each bitwise equal to its own `fd_matrix`).
+        let stencils = StencilSet::build(&nodes, fd.stencil_size);
+        let mats = fd_matrices_multi(
+            &nodes,
+            &stencils,
+            RbfKernel::Phs3,
+            fd.degree,
+            &[DiffOp::Lap, DiffOp::Dy],
+        )?;
+        let mut it = mats.into_iter();
+        let lap = it.next().expect("two ops requested");
+        let dy = it.next().expect("two ops requested");
         let n = nodes.len();
         let mut t = Triplets::new(n, n);
         for i in nodes.interior_range() {
@@ -205,7 +216,7 @@ impl LaplaceControlProblem {
         kernel: RbfKernel,
         degree: i32,
     ) -> Result<Self, LinalgError> {
-        let ctx = GlobalCollocation::new(nodes, kernel, degree)?;
+        let ctx = GlobalCollocation::new(nodes, kernel, degree);
         let a = ctx.assemble_with_bcs(|_, p| ctx.row(DiffOp::Lap, p), 0.0);
         let lu = Arc::new(Lu::factor(&a)?);
 
@@ -297,6 +308,23 @@ impl LaplaceControlProblem {
     /// values (sparse).
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Bytes this build keeps resident: the prepared backend (dense LU
+    /// factor, or sparse operator + ILU(0) preconditioners) plus the
+    /// constant tensors every cost and gradient evaluation shares — the
+    /// `size × n_c` placement and the `n_c × size` `∂/∂y` rows, which on
+    /// the sparse variant are as large as the backend itself.
+    pub fn memory_bytes(&self) -> usize {
+        let floats = self.placement.as_slice().len()
+            + self.dy_top.as_slice().len()
+            + self.rhs0.as_slice().len()
+            + self.target.as_slice().len()
+            + self.weights.len()
+            + self.top_x.len();
+        self.backend.memory_bytes()
+            + floats * std::mem::size_of::<f64>()
+            + self.top_idx.len() * std::mem::size_of::<usize>()
     }
 
     /// Condition-number estimate of the collocation matrix (diagnostics; the

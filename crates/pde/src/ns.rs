@@ -254,7 +254,7 @@ pub struct NsSolver {
 /// Builds the dense global-collocation operators (byte-identical to the
 /// original single-discretisation assembly).
 fn build_dense_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<DenseOps, LinalgError> {
-    let ctx = GlobalCollocation::new(nodes, cfg.kernel, cfg.degree)?;
+    let ctx = GlobalCollocation::new(nodes, cfg.kernel, cfg.degree);
     let dm = ctx.diff_matrices()?;
     let n = nodes.len();
 

@@ -33,7 +33,7 @@ impl PoissonProblem {
         degree: i32,
         robin_beta: f64,
     ) -> Result<Self, LinalgError> {
-        let ctx = GlobalCollocation::new(nodes, kernel, degree)?;
+        let ctx = GlobalCollocation::new(nodes, kernel, degree);
         // Interior rows: −∇² (so `f` enters the RHS with its natural sign).
         let a = ctx.assemble_with_bcs(
             |_, p| {

@@ -37,7 +37,7 @@ impl Interpolant {
             })
             .collect();
         let nodes = NodeSet::from_unordered(raw);
-        let ctx = GlobalCollocation::new(&nodes, kernel, degree)?;
+        let ctx = GlobalCollocation::new(&nodes, kernel, degree);
         let coeffs = ctx.fit_values(&DVec(values.to_vec()))?;
         Ok(Interpolant { ctx, coeffs })
     }

@@ -25,7 +25,6 @@ use crate::poly::PolyBasis;
 use geometry::{NodeKind, NodeSet, Point2};
 use linalg::{DMat, DVec, LinalgError, Lu};
 use meshfree_runtime::par;
-use std::sync::Arc;
 
 /// Linear differential operators supported as collocation rows.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,27 +56,30 @@ pub struct DiffMatrices {
 }
 
 /// Global collocation context over a [`NodeSet`]: kernel + appended
-/// polynomial basis + the (factored) interpolation system.
+/// polynomial basis.
+///
+/// The context holds no factorisation. PDE solvers factor the collocation
+/// matrix they [`assemble`](GlobalCollocation::assemble); the `(N+M)²` fit
+/// system `[Φ P; Pᵀ 0]` is assembled and factored only by the two methods
+/// that solve with it ([`GlobalCollocation::fit_values`] and
+/// [`GlobalCollocation::diff_matrices`]), and dropped when they return.
 pub struct GlobalCollocation {
     nodes: NodeSet,
     kernel: RbfKernel,
     basis: PolyBasis,
-    fit_lu: Arc<Lu>,
 }
 
 impl GlobalCollocation {
-    /// Builds the context and factors the `(N+M)²` fit matrix
-    /// `[Φ P; Pᵀ 0]` once.
-    pub fn new(nodes: &NodeSet, kernel: RbfKernel, degree: i32) -> Result<Self, LinalgError> {
-        let basis = PolyBasis::new(degree);
-        let fit = fit_matrix(nodes, kernel, basis);
-        let fit_lu = Arc::new(Lu::factor(&fit)?);
-        Ok(GlobalCollocation {
+    /// Builds the context: the nodes, the kernel and the degree-`degree`
+    /// monomial basis. Nothing is assembled or factored here, so a node set
+    /// with a singular fit matrix (e.g. a duplicated node) surfaces as
+    /// [`LinalgError::SingularMatrix`] from the methods that solve with it.
+    pub fn new(nodes: &NodeSet, kernel: RbfKernel, degree: i32) -> Self {
+        GlobalCollocation {
             nodes: nodes.clone(),
             kernel,
-            basis,
-            fit_lu,
-        })
+            basis: PolyBasis::new(degree),
+        }
     }
 
     /// Number of RBF centres `N`.
@@ -103,11 +105,6 @@ impl GlobalCollocation {
     /// The kernel in use.
     pub fn kernel(&self) -> RbfKernel {
         self.kernel
-    }
-
-    /// The factored fit matrix (shared; cheap to clone the `Rc`).
-    pub fn fit_lu(&self) -> &Arc<Lu> {
-        &self.fit_lu
     }
 
     /// Collocation row of `op` evaluated at an arbitrary point `x`.
@@ -207,13 +204,18 @@ impl GlobalCollocation {
         rows
     }
 
+    /// Assembles and factors the `(N+M)²` fit matrix `[Φ P; Pᵀ 0]`.
+    fn factor_fit(&self) -> Result<Lu, LinalgError> {
+        Lu::factor(&fit_matrix(&self.nodes, self.kernel, self.basis))
+    }
+
     /// Fits coefficients `[λ; γ]` to nodal values (length `N`), padding the
-    /// constraint block with zeros.
+    /// constraint block with zeros. Factors the fit matrix for this call.
     pub fn fit_values(&self, nodal: &DVec) -> Result<DVec, LinalgError> {
         assert_eq!(nodal.len(), self.n(), "fit_values: wrong length");
         let mut rhs = DVec::zeros(self.size());
         rhs.as_mut_slice()[..self.n()].copy_from_slice(nodal);
-        self.fit_lu.solve(&rhs)
+        self.factor_fit()?.solve(&rhs)
     }
 
     /// Evaluates `op` of the fitted field (coefficients) at `points`.
@@ -232,7 +234,8 @@ impl GlobalCollocation {
     }
 
     /// Builds the nodal differentiation matrices `Dx`, `Dy`, `∇²`
-    /// (`N × N` each): `D_op = B_op · A_fit⁻¹ [I; 0]`.
+    /// (`N × N` each): `D_op = B_op · A_fit⁻¹ [I; 0]`. Factors the fit
+    /// matrix for this call.
     pub fn diff_matrices(&self) -> Result<DiffMatrices, LinalgError> {
         let n = self.n();
         let size = self.size();
@@ -241,7 +244,7 @@ impl GlobalCollocation {
         for i in 0..n {
             rhs[(i, i)] = 1.0;
         }
-        let g = self.fit_lu.solve_mat(&rhs)?;
+        let g = self.factor_fit()?.solve_mat(&rhs)?;
         let dx = self.op_matrix_at_nodes(DiffOp::Dx).matmul(&g)?;
         let dy = self.op_matrix_at_nodes(DiffOp::Dy).matmul(&g)?;
         let lap = self.op_matrix_at_nodes(DiffOp::Lap).matmul(&g)?;
@@ -325,6 +328,7 @@ pub fn fit_matrix(nodes: &NodeSet, kernel: RbfKernel, basis: PolyBasis) -> DMat 
 mod tests {
     use super::*;
     use geometry::generators::{unit_square_grid, unit_square_scattered, BoundaryClass};
+    use geometry::RawNode;
 
     fn all_dirichlet(p: Point2) -> BoundaryClass {
         let normal = if p.y == 0.0 {
@@ -341,7 +345,7 @@ mod tests {
 
     fn ctx(nx: usize) -> GlobalCollocation {
         let ns = unit_square_grid(nx, nx, all_dirichlet);
-        GlobalCollocation::new(&ns, RbfKernel::Phs3, 1).unwrap()
+        GlobalCollocation::new(&ns, RbfKernel::Phs3, 1)
     }
 
     #[test]
@@ -407,7 +411,7 @@ mod tests {
         // up to conditioning; degree 1 (the paper's choice) is only O(h)
         // accurate on quadratics, which the convergence tests cover instead.
         let ns = unit_square_grid(10, 10, all_dirichlet);
-        let c = GlobalCollocation::new(&ns, RbfKernel::Phs3, 2).unwrap();
+        let c = GlobalCollocation::new(&ns, RbfKernel::Phs3, 2);
         let dm = c.diff_matrices().unwrap();
         let f = |p: Point2| p.x * p.x + 2.0 * p.y;
         let nodal = DVec::from_fn(c.n(), |i| f(c.nodes().point(i)));
@@ -429,6 +433,36 @@ mod tests {
             );
             assert!((lap[i] - 2.0).abs() < 0.1, "lap at {p:?}: {}", lap[i]);
         }
+    }
+
+    #[test]
+    fn singular_fit_errors_at_the_solve_not_at_construction() {
+        // A duplicated node makes two rows (and columns) of the fit matrix
+        // equal. The context still builds; the methods that factor the fit
+        // matrix report it.
+        let grid = unit_square_grid(5, 5, all_dirichlet);
+        let mut raw: Vec<RawNode> = (0..grid.len())
+            .map(|i| RawNode {
+                p: grid.point(i),
+                kind: grid.kind(i),
+                tag: grid.tag(i),
+                normal: grid.normal(i),
+            })
+            .collect();
+        raw.push(raw[0]);
+        let ns = NodeSet::from_unordered(raw);
+        let c = GlobalCollocation::new(&ns, RbfKernel::Phs3, 1);
+        assert_eq!(c.n(), 26);
+        let fit = c.fit_values(&DVec::zeros(c.n()));
+        assert!(
+            matches!(fit, Err(LinalgError::SingularMatrix { .. })),
+            "fit_values: {fit:?}"
+        );
+        let dm = c.diff_matrices().map(|_| ());
+        assert!(
+            matches!(dm, Err(LinalgError::SingularMatrix { .. })),
+            "diff_matrices: {dm:?}"
+        );
     }
 
     #[test]
@@ -470,7 +504,7 @@ mod tests {
     #[test]
     fn scattered_cloud_also_works() {
         let ns = unit_square_scattered(60, 9, all_dirichlet);
-        let c = GlobalCollocation::new(&ns, RbfKernel::Phs3, 1).unwrap();
+        let c = GlobalCollocation::new(&ns, RbfKernel::Phs3, 1);
         let f = |p: Point2| 1.0 - 0.5 * p.x + 0.25 * p.y;
         let nodal = DVec::from_fn(c.n(), |i| f(c.nodes().point(i)));
         let coeffs = c.fit_values(&nodal).unwrap();

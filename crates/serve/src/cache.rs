@@ -12,9 +12,9 @@
 //!
 //! # Budget and eviction
 //!
-//! Entries are metered by [`BuiltProblem::memory_bytes`] (which reduces
-//! to `LinearBackend::memory_bytes` for Laplace problems) against a byte
-//! budget (`MESHFREE_CACHE_BYTES`, default 256 MiB). Eviction is strict
+//! Entries are metered by [`BuiltProblem::memory_bytes`] (for Laplace
+//! problems the backend plus the constant tensors the build keeps) against
+//! a byte budget (`MESHFREE_CACHE_BYTES`, default 256 MiB). Eviction is strict
 //! least-recently-used on a logical access counter — never wall-clock —
 //! so which keys survive a request sequence is a pure function of that
 //! sequence: independent of thread count, pool width, and timing. After

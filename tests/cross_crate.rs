@@ -62,7 +62,7 @@ fn dual2_kernel_derivatives_match_collocation_rows() {
     // The ∂x row entries of the collocation context must equal the chain
     // rule applied to Dual2 kernel derivatives, independently recomputed.
     let ns = unit_square_grid(5, 5, all_dirichlet);
-    let ctx = GlobalCollocation::new(&ns, RbfKernel::Phs3, 1).unwrap();
+    let ctx = GlobalCollocation::new(&ns, RbfKernel::Phs3, 1);
     let x = Point2::new(0.37, 0.61);
     let row = ctx.row(DiffOp::Dx, x);
     for (j, c) in ns.points().iter().enumerate() {
