@@ -103,6 +103,21 @@ fn laplace_newton_cg_dal_matches_golden() {
 }
 
 #[test]
+fn laplace_newton_cg_dp_matches_golden() {
+    // Second-order DP: Newton-CG on the exact discrete gradient and its
+    // exact HVP. The objective is quadratic, so one step on the explicit
+    // Hessian lands on the minimiser; a second step would only record
+    // rounding noise. The snapshot pins that step's control, which every
+    // Hessian column feeds.
+    laplace_golden_with(
+        GradMethod::Dp,
+        OptimizerKind::NewtonCg,
+        1,
+        "laplace_newton_cg_dp",
+    );
+}
+
+#[test]
 fn laplace_lbfgs_dp_matches_golden() {
     laplace_golden_with(GradMethod::Dp, OptimizerKind::Lbfgs, 25, "laplace_lbfgs_dp");
 }
