@@ -3,7 +3,7 @@
 //! # meshfree-autodiff
 //!
 //! The automatic-differentiation engine of the workspace — the substitute for
-//! JAX in the paper's Python stack. Three complementary pieces:
+//! JAX in the paper's Python stack. Two engines:
 //!
 //! 1. **Forward mode** ([`Dual`], [`Dual2`]): scalar dual numbers carrying
 //!    first (and second) derivatives. These auto-derive the differential
@@ -11,10 +11,7 @@
 //!    generically over the [`Scalar`] trait — exactly the role `jax.grad`
 //!    plays in Updec's operator definitions, letting users "effortlessly
 //!    choose or design new functions φ".
-//! 2. **Scalar reverse mode** ([`stape::STape`], [`stape::Var`]): a classic
-//!    Wengert-list tape with operator overloading, used for small expression
-//!    graphs and as a cross-check oracle for the tensor engine.
-//! 3. **Tensor reverse mode** ([`tape::Tape`], [`tape::TVar`]): the engine
+//! 2. **Reverse mode** ([`tape::Tape`], [`tape::TVar`]): the tensor tape
 //!    behind differentiable programming (DP) and the PINNs. Whole-array
 //!    nodes (matmul, elementwise maps, reductions, concatenation) plus a
 //!    **differentiable linear solve** whose forward pass caches an LU
@@ -23,27 +20,20 @@
 //!    `jnp.linalg.solve`, and the key to differentiating *through* a PDE
 //!    solver (discretise-then-optimise).
 //!
-//! 4. **Forward-over-reverse** ([`dtape::DualTape`], [`dtape::hvp`]): the
-//!    tensor tape re-run in dual arithmetic, so one reverse sweep yields the
-//!    gradient *and* an exact Hessian-vector product — second-order
-//!    information through the differentiable linear solve with zero extra
-//!    factorizations, feeding the Newton-CG/L-BFGS optimizers in
-//!    `crates/opt`.
+//! Second-order information needs no third engine: the Laplace control
+//! problem is linear-quadratic, so its exact Hessian-vector product is a
+//! closed form of two solves (`pde::LaplaceControlProblem::hvp`).
 //!
 //! [`gradcheck`] provides central-finite-difference verification used
 //! pervasively in the tests.
 
-pub mod dtape;
 pub mod dual;
 pub mod gradcheck;
 pub mod scalar;
-pub mod stape;
 pub mod tape;
 pub mod tensor;
 
-pub use dtape::{hvp, DVar, DualGrads, DualTape, HvpEval};
 pub use dual::{derivative, derivative2, Dual, Dual2};
 pub use scalar::Scalar;
-pub use stape::{STape, Var};
 pub use tape::{TVar, Tape};
 pub use tensor::Tensor;

@@ -38,7 +38,9 @@
 //! One more hard gate, on the main suite and likewise enforced at both
 //! times: `lu_solve_many_w1.median_ns` may be at most
 //! [`SOLVE_MANY_W1_MAX_RATIO`]× `lu_solve.median_ns`, so a lone request
-//! through the batched solve pays what a plain solve pays.
+//! through the batched solve pays what a plain solve pays. The two are
+//! timed with their repetitions interleaved, so a shared host's drift
+//! moves both medians together.
 //!
 //! Usage:
 //!
@@ -330,6 +332,28 @@ fn record(snap: GoldenSnapshot, kernel: &str, nodes: usize, s: SpanStats) -> Gol
         .scalar(&format!("{kernel}.iters"), s.iters as f64)
 }
 
+/// Times two kernels with their repetitions interleaved: one rep of `a`,
+/// then one of `b`, `reps` times over. Host drift during the measurement
+/// then hits both alike, so a ratio gate on the two medians compares like
+/// with like.
+fn time_interleaved(
+    warmup: usize,
+    reps: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (SpanStats, SpanStats) {
+    for _ in 0..warmup {
+        a();
+        b();
+    }
+    let (mut sa, mut sb) = (Vec::new(), Vec::new());
+    for _ in 0..reps.max(1) {
+        sa.push(time_kernel(0, 1, &mut a).median_ns);
+        sb.push(time_kernel(0, 1, &mut b).median_ns);
+    }
+    (SpanStats::from_samples(&sa), SpanStats::from_samples(&sb))
+}
+
 fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     let mut snap = GoldenSnapshot::new("perf_suite").scalar("threads", num_threads() as f64);
 
@@ -355,10 +379,21 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     let lu = Lu::factor(&a).expect("lu_factor");
     let mut x = DVec::zeros(0);
     let solve_reps = sz.reps.max(31);
-    let solve = time_kernel(sz.warmup, solve_reps, || {
-        lu.solve_into(&b, &mut x).expect("lu_solve");
-        std::hint::black_box(&x);
-    });
+    // `lu_solve` and `lu_solve_many_w1` feed the ratio gate below, so their
+    // reps alternate rather than run as two back-to-back blocks.
+    let rhs = [b.clone()];
+    let (solve, many_w1) = time_interleaved(
+        sz.warmup,
+        solve_reps,
+        || {
+            lu.solve_into(&b, &mut x).expect("lu_solve");
+            std::hint::black_box(&x);
+        },
+        || {
+            let x = lu.solve_many(&rhs).expect("lu_solve_many");
+            std::hint::black_box(&x);
+        },
+    );
     snap = record(snap, "lu_solve", n, solve);
     snap = record(
         snap,
@@ -369,11 +404,6 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
             std::hint::black_box(&x);
         }),
     );
-    let rhs = [b.clone()];
-    let many_w1 = time_kernel(sz.warmup, solve_reps, || {
-        let x = lu.solve_many(&rhs).expect("lu_solve_many");
-        std::hint::black_box(&x);
-    });
     snap = record(snap, "lu_solve_many_w1", n, many_w1);
     let w1_ratio = many_w1.median_ns as f64 / (solve.median_ns as f64).max(1.0);
     println!("{:>28}  {w1_ratio:.2}x", "solve_many w1 / solve");
@@ -524,18 +554,17 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     );
     snap = snap.scalar("neural_op_vs_dp_eval", amortized);
 
-    // ---- forward-over-reverse Hessian-vector product --------------------
-    // One cost + gradient + exact HVP through the cached factorization:
-    // the dual tape replays the forward solve with (re, eps) pairs, so the
-    // marginal cost over a plain DP gradient is a second pair of
-    // triangular solves — no refactorisation.
+    // ---- exact Hessian-vector product ------------------------------------
+    // What one Newton-CG DP probe pays: the closed-form `H·v`, one forward
+    // and one transpose solve on the cached factorization — no tape, no
+    // refactorisation.
     let v_hvp = DVec::from_fn(n_c, |i| 0.5 * ((i as f64) * 0.7).cos() - 0.1);
     snap = record(
         snap,
         "hvp_laplace",
         n_c,
         time_kernel(sz.warmup, sz.reps, || {
-            let r = problem.cost_grad_hvp(&c, &v_hvp).expect("hvp");
+            let r = problem.hvp(&v_hvp).expect("hvp");
             std::hint::black_box(&r);
         }),
     );

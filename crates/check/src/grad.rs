@@ -18,7 +18,7 @@
 //!   (that gap is the paper's fig. 3b/4b point), so only direction
 //!   (cosine) and rough magnitude are held;
 //! * exact HVP vs FD-of-gradient ([`check_laplace_hvp`]) — the
-//!   forward-over-reverse composition differentiates the same discrete
+//!   closed-form Hessian-vector product differentiates the same discrete
 //!   map twice, so it must match central differences of the tape gradient
 //!   to truncation error (`≤ 1e-6`) and satisfy the bilinear symmetry
 //!   identity `v·H(w) == w·H(v)` to rounding;
@@ -160,7 +160,7 @@ pub struct ToleranceLadder {
     /// NS DAL vs DP minimum cosine (the paper's biased-gradient regime;
     /// only rough alignment away from the optimum).
     pub ns_dal_vs_dp_cos: f64,
-    /// Forward-over-reverse HVP vs central FD of the tape gradient — both
+    /// Exact HVP vs central FD of the tape gradient — both
     /// differentiate the same discrete map, so the gap is FD truncation
     /// only (the Laplace objective is quadratic: FD-of-gradient is exact
     /// up to rounding).
@@ -194,7 +194,7 @@ impl Default for ToleranceLadder {
 }
 
 /// Outcome of the Hessian-vector-product correctness ladder at one
-/// `(c, v)` probe: the forward-over-reverse HVP against central FD of the
+/// `(c, v)` probe: the exact HVP against central FD of the
 /// tape gradient, plus the bilinear symmetry identity.
 #[derive(Debug, Clone)]
 pub struct HvpReport {
@@ -233,7 +233,7 @@ impl HvpReport {
 /// Runs the HVP correctness ladder on the dense Laplace problem at control
 /// `c` along direction `v`:
 ///
-/// 1. the forward-over-reverse HVP must match central FD of the *tape*
+/// 1. the exact HVP must match central FD of the *tape*
 ///    gradient to [`ToleranceLadder::hvp_vs_fd`] (the objective is
 ///    quadratic in `c`, so FD-of-gradient is exact up to rounding);
 /// 2. the bilinear form must be symmetric: `v·H(w) == w·H(v)` for an
@@ -245,7 +245,7 @@ pub fn check_laplace_hvp(
     ladder: &ToleranceLadder,
 ) -> HvpReport {
     let n = c.len();
-    let (_, _, hv) = p.cost_grad_hvp(c, v).expect("forward-over-reverse HVP");
+    let hv = p.hvp(v).expect("exact HVP");
 
     // Rung 1: central FD of the DP gradient along v. The step is larger
     // than the first-order checks use: FD-of-gradient truncation is O(h²)
@@ -264,7 +264,7 @@ pub fn check_laplace_hvp(
 
     // Rung 2: symmetry against an independent probe direction.
     let w = DVec::from_fn(n, |i| (0.7 * (i as f64) + 0.3).cos() + v[n - 1 - i]);
-    let (_, _, hw) = p.cost_grad_hvp(c, &w).expect("HVP along w");
+    let hw = p.hvp(&w).expect("HVP along w");
     let vhw = v.dot(&hw);
     let whv = w.dot(&hv);
     let symmetry_gap = (vhw - whv).abs() / (1.0 + vhw.abs());

@@ -86,7 +86,7 @@ fn ns_picard_tape_matches_fd_and_aligns_with_dal() {
 
 #[test]
 fn laplace_hvp_ladder_holds() {
-    // The second-order rungs: exact forward-over-reverse HVP vs central FD
+    // The second-order rungs: exact closed-form HVP vs central FD
     // of the tape gradient (≤ 1e-6 rel; the quadratic objective makes FD
     // exact to rounding), plus the bilinear symmetry identity.
     let p = LaplaceControlProblem::new(14).unwrap();

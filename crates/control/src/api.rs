@@ -267,7 +267,7 @@ pub trait ControlObjective {
     /// [`ControlObjective::cost_and_grad`], so the curvature is always
     /// consistent with whatever gradient flavour the objective returns
     /// (exact for DP, the adjoint approximation for DAL). Objectives with
-    /// an exact forward-over-reverse path override this
+    /// an exact Hessian-vector product override this
     /// ([`LaplaceDpObjective`] does).
     fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
         let h = 1e-5 / (1.0 + v.norm_inf()).max(1.0);
@@ -446,11 +446,11 @@ impl ControlObjective for LaplaceDpObjective<'_> {
     fn name(&self) -> &str {
         "laplace-dp"
     }
-    /// Exact HVP via the forward-over-reverse tape (one dual-valued solve
-    /// on the cached factorization — no finite differencing).
-    fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
-        let (_, _, hv) = self.0.cost_grad_hvp(c, v)?;
-        Ok(hv)
+    /// Exact closed-form HVP: one forward and one transpose solve on the
+    /// cached factorization, no finite differencing. The objective is
+    /// quadratic, so the Hessian does not depend on `c`.
+    fn hvp(&mut self, _c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
+        Ok(self.0.hvp(v)?)
     }
 }
 

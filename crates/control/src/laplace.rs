@@ -8,8 +8,8 @@
 //!
 //! Beyond the paper, [`LaplaceRunConfig::optimizer`] swaps the update rule
 //! for Newton-CG or L-BFGS. Second-order DP/FD runs draw curvature from
-//! the forward-over-reverse tape
-//! ([`pde::LaplaceControlProblem::cost_grad_hvp`]). DAL runs step on the
+//! the exact closed-form Hessian-vector product
+//! ([`pde::LaplaceControlProblem::hvp`]). DAL runs step on the
 //! quadrature-weighted adjoint gradient `wᵢ·g(xᵢ)` — the discrete
 //! representation of the L² gradient, on the same scale as the discrete
 //! Hessian (the raw function-space gradient would overshoot a Newton step
@@ -60,7 +60,7 @@ pub struct LaplaceRunConfig {
     /// Record history every `log_every` iterations (plus the last).
     pub log_every: usize,
     /// Update rule: Adam (paper-faithful default) or a second-order method
-    /// fed by exact forward-over-reverse Hessian-vector products.
+    /// fed by exact Hessian-vector products.
     pub optimizer: OptimizerKind,
 }
 
@@ -90,8 +90,9 @@ pub struct LaplaceRun {
 /// curvature is the Jacobian of the *stepped* gradient:
 ///
 /// * DP / FD runs step on the exact discrete gradient, so the oracle
-///   answers with the exact forward-over-reverse HVP
-///   ([`LaplaceControlProblem::cost_grad_hvp`]).
+///   answers with the exact closed-form HVP
+///   ([`LaplaceControlProblem::hvp`]: one forward and one transpose
+///   solve).
 /// * DAL runs step on the quadrature-weighted adjoint gradient, whose
 ///   boundary components differ from the discrete gradient by Runge-zone
 ///   discretisation error (the gradcheck ladder only aligns them on the
@@ -151,7 +152,7 @@ impl CurvatureOracle for LaplaceOracle<'_> {
         match self.method {
             GradMethod::Dal => self.dal_hvps(std::slice::from_ref(v))?.pop(),
             GradMethod::Dp | GradMethod::FiniteDiff => {
-                let (_, _, hv) = self.problem.cost_grad_hvp(&self.x, v).ok()?;
+                let hv = self.problem.hvp(v).ok()?;
                 (!hv.has_non_finite()).then_some(hv)
             }
         }

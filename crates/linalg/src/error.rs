@@ -107,9 +107,9 @@ mod tests {
         let e = LinalgError::NotPositiveDefinite { row: 2 };
         assert!(e.to_string().contains("row 2"));
         let e = LinalgError::Breakdown {
-            solver: "bicgstab",
+            solver: "gmres",
             detail: "rho ~ 0",
         };
-        assert!(e.to_string().contains("bicgstab"));
+        assert!(e.to_string().contains("rho ~ 0"));
     }
 }

@@ -1,18 +1,17 @@
-//! Iterative Krylov solvers: CG, BiCGSTAB and restarted GMRES.
+//! Iterative Krylov solver: restarted GMRES.
 //!
-//! These back the sparse RBF-FD path. The dense global-collocation path uses
-//! [`crate::Lu`] directly; the sparse path pairs these solvers with the
-//! simple preconditioners below. GMRES is the default for the nonsymmetric
+//! It backs the sparse RBF-FD path. The dense global-collocation path uses
+//! [`crate::Lu`] directly; the sparse path pairs GMRES with the simple
+//! preconditioners below. GMRES handles the nonsymmetric
 //! advection-dominated operators that appear in the Navier–Stokes momentum
-//! equations.
+//! equations as well as the RBF-FD Laplacian.
 //!
-//! All three solvers are allocation-free in their inner loops: every
-//! operator application goes through [`LinOp::apply_into`] /
-//! [`Preconditioner::apply_into`] against buffers allocated once per solve
-//! (GMRES additionally stores one basis vector per inner iteration, which is
-//! inherent to the method). They return a uniform [`SolveReport`] on
-//! success; non-convergence and breakdowns surface as
-//! [`LinalgError::NotConverged`] / [`LinalgError::Breakdown`], which the
+//! The solver is allocation-free in its inner loop apart from the Krylov
+//! basis (one stored vector per inner iteration, inherent to the method):
+//! every operator application goes through [`LinOp::apply_into`] /
+//! [`Preconditioner::apply_into`] against buffers allocated once per
+//! solve. It returns a uniform [`SolveReport`] on success;
+//! non-convergence surfaces as [`LinalgError::NotConverged`], which the
 //! control layer maps onto its divergence taxonomy.
 
 use crate::error::{LinalgError, Result};
@@ -141,20 +140,21 @@ impl Preconditioner {
     }
 }
 
-/// Options shared by the iterative solvers.
+/// Options for [`gmres`].
 ///
-/// Construct through the builder: a solver-named constructor with the
-/// documented defaults, then chained setters —
+/// Construct through the builder: [`IterOpts::gmres`] with the documented
+/// defaults, then chained setters —
 ///
 /// ```
 /// use linalg::IterOpts;
 /// let opts = IterOpts::gmres().tol(1e-10).restart(50);
-/// let tight = IterOpts::cg().max_iter(10_000).tol(1e-12);
+/// let tight = IterOpts::gmres().max_iter(10_000).tol(1e-12);
+/// assert_eq!(tight.iteration_limit(), 10_000);
+/// assert_eq!(opts.restart_len(), 50);
 /// ```
 ///
-/// Defaults (all constructors): `max_iter = 2000` (for GMRES: total inner
-/// iterations), `rel_tol = 1e-10`, `restart = 50` (ignored by CG and
-/// BiCGSTAB). Read back through [`IterOpts::iteration_limit`] /
+/// Defaults: `max_iter = 2000` total inner iterations, `rel_tol = 1e-10`,
+/// `restart = 50`. Read back through [`IterOpts::iteration_limit`] /
 /// [`IterOpts::tolerance`] / [`IterOpts::restart_len`].
 #[derive(Debug, Clone)]
 pub struct IterOpts {
@@ -167,30 +167,14 @@ pub struct IterOpts {
 }
 
 impl IterOpts {
-    fn documented_defaults() -> Self {
+    /// Options for [`gmres`]: `max_iter = 2000` total inner iterations,
+    /// `rel_tol = 1e-10`, `restart = 50`.
+    pub fn gmres() -> Self {
         IterOpts {
             max_iter: 2000,
             rel_tol: 1e-10,
             restart: 50,
         }
-    }
-
-    /// Options for [`gmres`]: `max_iter = 2000` total inner iterations,
-    /// `rel_tol = 1e-10`, `restart = 50`.
-    pub fn gmres() -> Self {
-        Self::documented_defaults()
-    }
-
-    /// Options for [`cg`]: `max_iter = 2000`, `rel_tol = 1e-10` (the
-    /// restart length is ignored).
-    pub fn cg() -> Self {
-        Self::documented_defaults()
-    }
-
-    /// Options for [`bicgstab`]: `max_iter = 2000`, `rel_tol = 1e-10` (the
-    /// restart length is ignored).
-    pub fn bicgstab() -> Self {
-        Self::documented_defaults()
     }
 
     /// Sets the iteration cap (for GMRES: total inner iterations).
@@ -205,7 +189,7 @@ impl IterOpts {
         self
     }
 
-    /// Sets the GMRES restart length (ignored by CG and BiCGSTAB).
+    /// Sets the GMRES restart length.
     pub fn restart(mut self, m: usize) -> Self {
         self.restart = m;
         self
@@ -235,10 +219,9 @@ impl Default for IterOpts {
 
 /// Uniform outcome of a successful iterative solve.
 ///
-/// Failures (tolerance not reached, numerical breakdown) are *not* encoded
-/// here — they surface as [`LinalgError::NotConverged`] /
-/// [`LinalgError::Breakdown`] so the control layer's divergence taxonomy
-/// (`ControlError::is_divergence`) applies uniformly. The `breakdown` field
+/// Failures (tolerance not reached) are *not* encoded here — they surface
+/// as [`LinalgError::NotConverged`] so the control layer's divergence
+/// taxonomy (`ControlError::is_divergence`) applies uniformly. The `breakdown` field
 /// records a *benign* early termination such as GMRES finding the exact
 /// solution inside the Krylov space.
 #[derive(Debug, Clone)]
@@ -249,7 +232,7 @@ pub struct SolveReport {
     pub iterations: usize,
     /// Final relative residual.
     pub residual: f64,
-    /// Solver name (`"cg"`, `"bicgstab"`, `"gmres"`).
+    /// Solver name (`"gmres"`).
     pub solver: &'static str,
     /// Preconditioner kind (`"identity"`, `"jacobi"`, `"ilu0"`,
     /// `"schur-ilu0"`).
@@ -257,160 +240,6 @@ pub struct SolveReport {
     /// Benign early-termination reason, if any (e.g. a lucky GMRES
     /// breakdown). `None` for a plain tolerance-reached exit.
     pub breakdown: Option<&'static str>,
-}
-
-/// Conjugate gradients for symmetric positive definite operators.
-pub fn cg(a: &dyn LinOp, b: &DVec, m: &Preconditioner, opts: &IterOpts) -> Result<SolveReport> {
-    let _span = trace::span("cg_solve");
-    let n = a.dim();
-    assert_eq!(b.len(), n, "cg: rhs length mismatch");
-    let (max_iter, rel_tol) = (opts.iteration_limit(), opts.tolerance());
-    let bnorm = b.norm2().max(1e-300);
-    let mut x = DVec::zeros(n);
-    let mut r = b.clone();
-    let mut z = DVec::zeros(n);
-    m.apply_into(&r, &mut z);
-    let mut p = z.clone();
-    let mut ap = DVec::zeros(n);
-    let mut rz = r.dot(&z);
-    for it in 0..max_iter {
-        let rel = r.par_norm2() / bnorm;
-        trace::solve_event("linear", "cg", it, rel, f64::NAN, f64::NAN);
-        if rel <= rel_tol {
-            return Ok(SolveReport {
-                x,
-                iterations: it,
-                residual: rel,
-                solver: "cg",
-                precond: m.kind_name(),
-                breakdown: None,
-            });
-        }
-        a.apply_into(&p, &mut ap);
-        let pap = p.dot(&ap);
-        if pap.abs() < 1e-300 {
-            return Err(LinalgError::Breakdown {
-                solver: "cg",
-                detail: "p'Ap ~ 0 (operator not SPD?)",
-            });
-        }
-        let alpha = rz / pap;
-        x.axpy(alpha, &p);
-        r.axpy(-alpha, &ap);
-        m.apply_into(&r, &mut z);
-        let rz_new = r.dot(&z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        // p = z + beta p, in place.
-        p.scale_mut(beta);
-        p += &z;
-    }
-    let rel = r.par_norm2() / bnorm;
-    if rel <= rel_tol {
-        Ok(SolveReport {
-            x,
-            iterations: max_iter,
-            residual: rel,
-            solver: "cg",
-            precond: m.kind_name(),
-            breakdown: None,
-        })
-    } else {
-        Err(LinalgError::NotConverged {
-            solver: "cg",
-            iterations: max_iter,
-            residual: rel,
-        })
-    }
-}
-
-/// BiCGSTAB for general nonsymmetric operators.
-pub fn bicgstab(
-    a: &dyn LinOp,
-    b: &DVec,
-    m: &Preconditioner,
-    opts: &IterOpts,
-) -> Result<SolveReport> {
-    let _span = trace::span("bicgstab_solve");
-    let n = a.dim();
-    assert_eq!(b.len(), n, "bicgstab: rhs length mismatch");
-    let (max_iter, rel_tol) = (opts.iteration_limit(), opts.tolerance());
-    let bnorm = b.norm2().max(1e-300);
-    let mut x = DVec::zeros(n);
-    let mut r = b.clone();
-    let r0 = r.clone();
-    let mut rho = 1.0;
-    let mut alpha = 1.0;
-    let mut omega = 1.0;
-    let mut v = DVec::zeros(n);
-    let mut p = DVec::zeros(n);
-    let mut phat = DVec::zeros(n);
-    let mut shat = DVec::zeros(n);
-    let mut t = DVec::zeros(n);
-    let report = |x: DVec, iterations: usize, residual: f64| SolveReport {
-        x,
-        iterations,
-        residual,
-        solver: "bicgstab",
-        precond: m.kind_name(),
-        breakdown: None,
-    };
-    for it in 0..max_iter {
-        let rel = r.par_norm2() / bnorm;
-        trace::solve_event("linear", "bicgstab", it, rel, f64::NAN, f64::NAN);
-        if rel <= rel_tol {
-            return Ok(report(x, it, rel));
-        }
-        let rho_new = r0.dot(&r);
-        if rho_new.abs() < 1e-300 {
-            return Err(LinalgError::Breakdown {
-                solver: "bicgstab",
-                detail: "rho ~ 0",
-            });
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        // p = r + beta (p - omega v), in place.
-        p.axpy(-omega, &v);
-        p.scale_mut(beta);
-        p += &r;
-        m.apply_into(&p, &mut phat);
-        a.apply_into(&phat, &mut v);
-        let r0v = r0.dot(&v);
-        if r0v.abs() < 1e-300 {
-            return Err(LinalgError::Breakdown {
-                solver: "bicgstab",
-                detail: "r0'v ~ 0",
-            });
-        }
-        alpha = rho / r0v;
-        // s = r - alpha v, overwriting r (r is rebuilt from s below).
-        r.axpy(-alpha, &v);
-        if r.norm2() / bnorm <= rel_tol {
-            x.axpy(alpha, &phat);
-            let rel = r.par_norm2() / bnorm;
-            return Ok(report(x, it + 1, rel));
-        }
-        m.apply_into(&r, &mut shat);
-        a.apply_into(&shat, &mut t);
-        let tt = t.dot(&t);
-        if tt.abs() < 1e-300 {
-            return Err(LinalgError::Breakdown {
-                solver: "bicgstab",
-                detail: "t't ~ 0",
-            });
-        }
-        omega = t.dot(&r) / tt;
-        x.axpy(alpha, &phat);
-        x.axpy(omega, &shat);
-        r.axpy(-omega, &t);
-    }
-    let rel = r.par_norm2() / bnorm;
-    Err(LinalgError::NotConverged {
-        solver: "bicgstab",
-        iterations: max_iter,
-        residual: rel,
-    })
 }
 
 /// Restarted GMRES(m) with Givens rotations, left-preconditioned.
@@ -593,36 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_solves_poisson() {
-        let n = 64;
-        let a = poisson_1d(n);
-        let b = DVec::from_fn(n, |i| ((i + 1) as f64 * 0.1).sin());
-        let res = cg(&a, &b, &Preconditioner::Identity, &IterOpts::cg()).unwrap();
-        let r = &a.matvec(&res.x) - &b;
-        assert!(r.norm2() < 1e-8 * b.norm2());
-        assert!(res.iterations <= n + 1);
-    }
-
-    #[test]
-    fn cg_with_jacobi_preconditioner() {
-        let n = 64;
-        let a = poisson_1d(n);
-        let b = DVec::full(n, 1.0);
-        let m = Preconditioner::jacobi_from(&a);
-        let res = cg(&a, &b, &m, &IterOpts::cg()).unwrap();
-        assert!((&a.matvec(&res.x) - &b).norm2() < 1e-8);
-    }
-
-    #[test]
-    fn bicgstab_solves_nonsymmetric() {
-        let n = 80;
-        let a = advdiff_1d(n, 0.4);
-        let b = DVec::from_fn(n, |i| 1.0 / (1.0 + i as f64));
-        let res = bicgstab(&a, &b, &Preconditioner::Identity, &IterOpts::bicgstab()).unwrap();
-        assert!((&a.matvec(&res.x) - &b).norm2() < 1e-8 * b.norm2().max(1.0));
-    }
-
-    #[test]
     fn gmres_solves_nonsymmetric() {
         let n = 80;
         let a = advdiff_1d(n, 0.7);
@@ -671,15 +470,7 @@ mod tests {
         let b = DVec::full(n, 1.0);
         let opts = IterOpts::gmres().max_iter(2).tol(1e-14).restart(2);
         assert!(matches!(
-            cg(&a, &b, &Preconditioner::Identity, &opts),
-            Err(LinalgError::NotConverged { .. })
-        ));
-        assert!(matches!(
             gmres(&a, &b, &Preconditioner::Identity, &opts),
-            Err(LinalgError::NotConverged { .. })
-        ));
-        assert!(matches!(
-            bicgstab(&a, &b, &Preconditioner::Identity, &opts),
             Err(LinalgError::NotConverged { .. })
         ));
     }
@@ -695,7 +486,7 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_the_documented_values() {
-        for opts in [IterOpts::gmres(), IterOpts::cg(), IterOpts::bicgstab()] {
+        for opts in [IterOpts::gmres(), IterOpts::default()] {
             assert_eq!(opts.iteration_limit(), 2000);
             assert_eq!(opts.tolerance(), 1e-10);
             assert_eq!(opts.restart_len(), 50);
@@ -718,8 +509,8 @@ mod tests {
         assert!(rep.breakdown.is_none());
         assert!(rep.iterations > 0);
         assert!(rep.residual <= 1e-10);
-        let rep = cg(&a, &b, &Preconditioner::Identity, &IterOpts::cg()).unwrap();
-        assert_eq!((rep.solver, rep.precond), ("cg", "identity"));
+        let rep = gmres(&a, &b, &Preconditioner::Identity, &IterOpts::gmres()).unwrap();
+        assert_eq!((rep.solver, rep.precond), ("gmres", "identity"));
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`Qr`] — Householder QR and least-squares solves.
 //! * [`Csr`] — compressed sparse row matrices with parallel SpMV, used by the
 //!   RBF-FD local-stencil path.
-//! * [`iterative`] — CG, BiCGSTAB and restarted GMRES with simple
-//!   preconditioners, all reporting a uniform [`SolveReport`].
+//! * [`iterative`] — restarted GMRES with simple preconditioners,
+//!   reporting a uniform [`SolveReport`].
 //! * [`backend`] — the [`LinearBackend`] abstraction unifying dense LU and
 //!   [`SparseIterative`] (GMRES+ILU0) behind one solve/transpose-solve
 //!   contract, selectable per run via [`BackendKind`].
@@ -45,7 +45,7 @@ pub use backend::{BackendKind, LinearBackend, SparseIterative};
 pub use dense::DMat;
 pub use error::{LinalgError, Result};
 pub use factor::{Cholesky, Lu, Qr};
-pub use iterative::{bicgstab, cg, gmres, IterOpts, Preconditioner, SolveReport};
+pub use iterative::{gmres, IterOpts, Preconditioner, SolveReport};
 pub use saddle::{BlockCsr, SaddlePrecond};
 pub use sparse::{Csr, Ilu0, Triplets};
 pub use vector::DVec;

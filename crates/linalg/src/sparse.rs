@@ -495,7 +495,7 @@ mod tests {
 }
 
 /// Incomplete LU factorization with zero fill-in (ILU(0)): `L` and `U`
-/// share the sparsity pattern of the input matrix. Used as a GMRES/BiCGSTAB
+/// share the sparsity pattern of the input matrix. Used as a GMRES
 /// preconditioner for the RBF-FD operators, whose stencil-based patterns
 /// make ILU(0) markedly stronger than Jacobi.
 #[derive(Debug, Clone)]

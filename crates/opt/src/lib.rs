@@ -12,9 +12,10 @@
 //! divided by 10 after half the iterations or epochs, and again by 10 at
 //! 75 % completion."
 //!
-//! Beyond the paper: the forward-over-reverse composition in
-//! `crates/autodiff` provides *exact* Hessian-vector products through the
-//! discretised solver, so [`NewtonCg`] (trust-region Newton) and [`Lbfgs`]
+//! Beyond the paper: the Laplace problem's closed-form Hessian-vector
+//! product (`pde::LaplaceControlProblem::hvp`, one forward and one
+//! transpose solve) gives *exact* curvature through the discretised
+//! solver, so [`NewtonCg`] (trust-region Newton) and [`Lbfgs`]
 //! (two-loop recursion) can cut iteration counts by an order of magnitude
 //! on the smooth PDE control objectives. Newton-CG forms the reduced
 //! Hessian explicitly from `n` probes per step and runs CG on that

@@ -44,8 +44,8 @@ fn iter_opts_builder_round_trips_through_readers() {
     assert_eq!(opts.tolerance().to_bits(), 1e-9f64.to_bits());
     assert_eq!(opts.restart_len(), 25);
 
-    // The per-solver constructors share the documented defaults.
-    for defaults in [IterOpts::gmres(), IterOpts::cg(), IterOpts::bicgstab()] {
+    // The GMRES constructor and `Default` carry the documented defaults.
+    for defaults in [IterOpts::gmres(), IterOpts::default()] {
         assert_eq!(defaults.iteration_limit(), 2000);
         assert_eq!(defaults.tolerance().to_bits(), 1e-10f64.to_bits());
         assert_eq!(defaults.restart_len(), 50);

@@ -2,7 +2,7 @@
 //! through different subsystems must agree.
 
 use meshfree_oc::autodiff::gradcheck::rel_error;
-use meshfree_oc::autodiff::{derivative2, Dual2, STape, Scalar, Tape};
+use meshfree_oc::autodiff::{derivative, derivative2, Dual, Dual2, Scalar, Tape};
 use meshfree_oc::geometry::generators::{unit_square_grid, BoundaryClass};
 use meshfree_oc::geometry::{NodeKind, Point2};
 use meshfree_oc::linalg::{DMat, DVec, Lu};
@@ -24,36 +24,36 @@ fn all_dirichlet(p: Point2) -> BoundaryClass {
 }
 
 #[test]
-fn scalar_tape_and_tensor_tape_agree_on_a_shared_program() {
-    // f(a, b) = Σᵢ tanh(aᵢ bᵢ) + aᵢ², evaluated elementwise on both engines.
+fn forward_dual_and_tensor_tape_agree_on_a_shared_program() {
+    // f(a, b) = Σᵢ tanh(aᵢ bᵢ) + aᵢ², written once over `Scalar`: forward
+    // mode seeds one component of `a` at a time, the tensor tape gets the
+    // whole gradient from one reverse sweep.
+    fn f<S: Scalar>(a: &[S], b: &[S]) -> S {
+        a.iter().zip(b).fold(S::from_f64(0.0), |acc, (&x, &y)| {
+            acc + (x * y).tanh() + x * x
+        })
+    }
     let a0 = [0.3, -0.7, 1.1];
     let b0 = [0.9, 0.4, -0.2];
 
-    // Scalar tape.
-    let st = STape::new();
-    let mut scalar_out = meshfree_oc::autodiff::Var::from_f64(0.0);
-    let mut avars = Vec::new();
-    for i in 0..3 {
-        let a = st.var(a0[i]);
-        let b = st.var(b0[i]);
-        scalar_out = scalar_out + (a * b).tanh() + a * a;
-        avars.push(a);
-    }
-    let sg = st.grad(scalar_out);
-
-    // Tensor tape.
     let tt = Tape::new();
     let a = tt.var_col(&a0);
     let b = tt.var_col(&b0);
     let out = a.mul(b).tanh().add(a.mul(a)).sum();
-    assert!((out.scalar_value() - scalar_out.val()).abs() < 1e-14);
-    let tg = tt.backward(out);
-    let ga = tg.wrt(a);
-    for i in 0..3 {
-        assert!(
-            (ga[(i, 0)] - sg.wrt(avars[i])).abs() < 1e-13,
-            "engines disagree at {i}"
+    assert!((out.scalar_value() - f(&a0, &b0)).abs() < 1e-14);
+    let ga = tt.backward(out).wrt(a);
+
+    let b_const = b0.map(Dual::constant);
+    for k in 0..3 {
+        let (_, dfk) = derivative(
+            |x| {
+                let mut ad = a0.map(Dual::constant);
+                ad[k] = x;
+                f(&ad, &b_const)
+            },
+            a0[k],
         );
+        assert!((ga[(k, 0)] - dfk).abs() < 1e-13, "engines disagree at {k}");
     }
 }
 

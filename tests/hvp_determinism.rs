@@ -1,6 +1,6 @@
 //! Bitwise determinism of the second-order machinery.
 //!
-//! The forward-over-reverse Hessian-vector product and the optimizers that
+//! The exact Hessian-vector product and the optimizers that
 //! consume it (Newton-CG, L-BFGS) are built from fixed-order scalar
 //! reductions and the fixed-block parallel kernels, so their results must
 //! be `==` on every `f64` across thread-pool widths — the same contract
@@ -44,7 +44,7 @@ fn forward_over_reverse_hvp_is_pool_width_invariant() {
             j.to_bits() == j_ref.to_bits(),
             "HVP cost drifted at {threads} threads"
         );
-        assert_identical(&g, &g_ref, "dual-tape gradient");
+        assert_identical(&g, &g_ref, "DP gradient");
         assert_identical(&hv, &hv_ref, "Hessian-vector product");
     }
 }
