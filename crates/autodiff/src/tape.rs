@@ -76,6 +76,12 @@ enum Op {
         parent: usize,
         idx: Arc<Vec<usize>>,
     },
+    /// Row scatter into `nrows` zero rows: row `k` of the parent lands in
+    /// row `idx[k]` (distinct indices).
+    Scatter {
+        parent: usize,
+        idx: Arc<Vec<usize>>,
+    },
     /// Vertical concatenation of the parents.
     ConcatRows(Vec<usize>),
     /// `diag(s) · C` with `C` constant and `s` a variable column.
@@ -537,6 +543,11 @@ impl Tape {
                     }
                     acc(&mut adj, *parent, d);
                 }
+                Op::Scatter { parent, idx } => {
+                    let pc = g.ncols();
+                    let d = DMat::from_fn(idx.len(), pc, |k, j| g[(idx[k], j)]);
+                    acc(&mut adj, *parent, d);
+                }
                 Op::ConcatRows(parents) => {
                     let mut r0 = 0;
                     for &p in parents {
@@ -909,6 +920,30 @@ impl<'t> TVar<'t> {
         }
     }
 
+    /// Row scatter, the transpose of [`TVar::gather_rows`]: an
+    /// `nrows`-row variable, zero except row `idx[k]`, which is row `k` of
+    /// `self` (gather on the way back). The indices must be distinct.
+    pub fn scatter_rows(self, idx: &[usize], nrows: usize) -> TVar<'t> {
+        let v = self.with_value(|a| {
+            assert_eq!(a.nrows(), idx.len(), "scatter_rows: one index per row");
+            let mut out = DMat::zeros(nrows, a.ncols());
+            for (k, &i) in idx.iter().enumerate() {
+                out.row_mut(i).copy_from_slice(a.row(k));
+            }
+            out
+        });
+        TVar {
+            tape: self.tape,
+            idx: self.tape.push(
+                Op::Scatter {
+                    parent: self.idx,
+                    idx: Arc::new(idx.to_vec()),
+                },
+                v,
+            ),
+        }
+    }
+
     /// `diag(self) · C` with `C` a constant matrix and `self` an `n × 1`
     /// column. This is how state-dependent operators (e.g. the advection
     /// term `u·∂x`) enter the differentiable assembly.
@@ -1096,6 +1131,15 @@ mod tests {
         let y = gth.sum();
         let g = t.backward(y);
         assert_eq!(g.wrt(a).as_slice(), &[1.0, 0.0, 2.0]);
+
+        let t = Tape::new();
+        let a = t.var_col(&[1.0, 2.0]);
+        let sc = a.scatter_rows(&[3, 1], 4);
+        assert_eq!(sc.value().as_slice(), &[0.0, 2.0, 0.0, 1.0]);
+        let w = tensor::col(&[10.0, 20.0, 30.0, 40.0]);
+        let y = sc.dot_const(&w);
+        let g = t.backward(y);
+        assert_eq!(g.wrt(a).as_slice(), &[40.0, 20.0]);
 
         let t = Tape::new();
         let a = t.var_col(&[1.0]);

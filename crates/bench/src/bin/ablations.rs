@@ -293,28 +293,17 @@ fn ablation_gradients() {
 fn ablation_sparse() {
     println!("== ablation: dense global collocation vs sparse RBF-FD ==");
     println!("(the memory-light path the paper's Table 3 discussion motivates)\n");
-    use pde::laplace_fd::LaplaceFdProblem;
-    use rbf::fd::FdConfig;
     println!(
         "{:>6} {:>14} {:>14} {:>12} {:>12}",
         "nx", "dense bytes", "sparse bytes", "J_dense", "J_sparse"
     );
     let mut rows = Vec::new();
     for nx in [16usize, 24, 32] {
-        let t_dense = std::time::Instant::now();
         let dense = LaplaceControlProblem::new(nx).expect("dense");
-        let _ = t_dense;
         let n = nx * nx;
         let dense_bytes = (n + 3) * (n + 3) * 8;
-        let fd = LaplaceFdProblem::new(
-            nx,
-            FdConfig {
-                stencil_size: 13,
-                degree: 2,
-            },
-        )
-        .expect("sparse");
-        let sparse_bytes = fd.nnz() * 16;
+        let sparse = LaplaceControlProblem::new_sparse(nx).expect("sparse");
+        let sparse_bytes = sparse.backend().memory_bytes();
         // One short optimization on each to compare attainable costs.
         let cfg = LaplaceRunConfig {
             nx,
@@ -323,17 +312,14 @@ fn ablation_sparse() {
             log_every: 40,
             ..Default::default()
         };
-        let j_dense = laplace_run(&dense, &cfg, GradMethod::Dp, &RunCtx::unchecked())
-            .expect("dense run")
-            .report
-            .final_cost;
-        let mut c = DVec::zeros(fd.n_controls());
-        let mut adam = opt::Adam::new(c.len(), Schedule::paper_decay(1e-2, 120));
-        for _ in 0..120 {
-            let (_, g) = fd.cost_and_grad(&c).expect("sparse grad");
-            adam.step(&mut c, &g);
-        }
-        let j_sparse = fd.cost(&c).expect("sparse cost");
+        let j_final = |p: &LaplaceControlProblem| {
+            laplace_run(p, &cfg, GradMethod::Dp, &RunCtx::unchecked())
+                .expect("Laplace DP run")
+                .report
+                .final_cost
+        };
+        let j_dense = j_final(&dense);
+        let j_sparse = j_final(&sparse);
         println!("{nx:>6} {dense_bytes:>14} {sparse_bytes:>14} {j_dense:>12.3e} {j_sparse:>12.3e}");
         rows.push(vec![
             nx as f64,

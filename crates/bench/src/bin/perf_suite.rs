@@ -2,7 +2,8 @@
 //!
 //! Times the named kernels of the meshfree substrate (dense LU factor,
 //! solve, transpose solve and one-column `solve_many`, sparse SpMV,
-//! RBF-FD assembly, preconditioned GMRES, one DAL and one DP Laplace
+//! RBF-FD assembly, preconditioned GMRES, the sparse Laplace envelope
+//! factor and solve, one DAL and one DP Laplace
 //! gradient iteration, one Navier–Stokes Picard sweep) with
 //! warmup + median-of-N repetitions ([`meshfree_runtime::stats`]) and
 //! serialises the results through the same hand-rolled JSON layer as the
@@ -20,20 +21,24 @@
 //! amortization claim behind `Strategy::NeuralOp`).
 //!
 //! The suite additionally sweeps the blocked dense kernels (`lu_factor`,
-//! `matmul`, `gmres_ilu0_laplace`) over pool widths {1, 2, 8}, recording
+//! `matmul`, `gmres_ilu0_laplace`) over pool widths {1, 2, 8}, each
+//! clamped to the measuring machine's `host_threads` (a width the host
+//! does not have measures nothing but oversubscription), recording
 //! `<kernel>.t<w>.median_ns` per width plus derived
-//! `<kernel>_speedup_8t` / `<kernel>_scaling_eff_8t` ratios and the
-//! measuring machine's `host_threads`. Two of those numbers are hard
-//! gates, enforced both when measuring and at `verify` time:
+//! `<kernel>_speedup_<w>t` / `<kernel>_scaling_eff_<w>t` ratios. Two of
+//! those numbers are hard gates, enforced both when measuring and at
+//! `verify` time:
 //!
-//! * `lu_factor.t1.median_ns` must beat the committed pre-blocking
-//!   baseline ([`LU_FACTOR_BASELINE_NS`]) by at least
-//!   [`LU_T1_IMPROVEMENT`]× — the single-thread win of the tiled kernels;
-//! * `lu_factor_speedup_8t` must clear a scaling floor derived from the
-//!   snapshot's own `host_threads` ([`speedup_floor_8t`]): a genuine
-//!   ≥2× scaling requirement on ≥8-core machines, degrading to a
-//!   0.5× pool-overhead sanity bound on single-core runners (where no
-//!   true speedup is physically possible).
+//! * `lu_factor_tiled_speedup_t1` — the unblocked right-looking LU
+//!   ([`unblocked_lu`]) over the tiled `Lu::factor`, both on one worker
+//!   with their repetitions interleaved — must be at least
+//!   [`LU_T1_IMPROVEMENT`]×: the single-thread win of the tiled kernels,
+//!   measured so that host drift hits both sides alike;
+//! * `lu_factor_speedup_<w>t` must clear a scaling floor for each width
+//!   `w` ([`speedup_floor`], with `w` clamped to the snapshot's own
+//!   `host_threads`): a genuine ≥2× scaling requirement at 8 workers on
+//!   ≥8-core machines, degrading to a 0.5× pool-overhead sanity bound at
+//!   two workers or fewer.
 //!
 //! One more hard gate, on the main suite and likewise enforced at both
 //! times: `lu_solve_many_w1.median_ns` may be at most
@@ -77,7 +82,7 @@ use control::OptimizerKind;
 use geometry::generators::unit_square_grid;
 use linalg::iterative::{gmres, IterOpts, Preconditioner};
 use linalg::sparse::Triplets;
-use linalg::{DMat, DVec, LinearBackend, Lu, SparseIterative};
+use linalg::{DMat, DVec, EnvelopeLu, LinearBackend, Lu, SparseIterative};
 use meshfree_runtime::par::{with_pool, ThreadPool};
 use meshfree_runtime::{num_threads, time_kernel, Rng64, SpanStats};
 use pde::{LaplaceControlProblem, NsConfig, NsSolver};
@@ -99,6 +104,8 @@ const REQUIRED_KERNELS: &[&str] = &[
     "csr_assembly_fd",
     "gmres",
     "gmres_ilu0_laplace",
+    "envelope_lu_factor_laplace",
+    "envelope_lu_laplace",
     "dal_laplace_iter",
     "dal_laplace_iter_refactor",
     "dp_laplace_iter",
@@ -122,30 +129,71 @@ const SOLVE_MANY_W1_MAX_RATIO: f64 = 1.1;
 /// Kernels the thread sweep re-times at every pool width.
 const SWEPT_KERNELS: &[&str] = &["lu_factor", "matmul", "gmres_ilu0_laplace"];
 
-/// Pool widths the sweep visits by default.
+/// Pool widths the sweep visits by default (each clamped to the host's
+/// `available_parallelism`, see [`clamp_widths`]).
 const SWEEP_THREADS_DEFAULT: &[usize] = &[1, 2, 8];
 
-/// Committed single-thread `lu_factor` median (n = 400) from the last
-/// pre-blocking `BENCH_perf.json` — the fixed reference the tiled kernel
-/// is gated against.
-const LU_FACTOR_BASELINE_NS: f64 = 8.713273e6;
-
-/// Required single-thread improvement of the tiled LU over
-/// [`LU_FACTOR_BASELINE_NS`].
+/// Required single-thread speedup of the tiled `Lu::factor` over the
+/// unblocked right-looking reference ([`unblocked_lu`]), timed
+/// interleaved at n = 400.
 const LU_T1_IMPROVEMENT: f64 = 1.5;
 
-/// Scaling floor for `lu_factor_speedup_8t`, derived from the measuring
-/// machine's core count: `max(0.5, 0.25 · min(8, host_threads))`. On an
-/// 8-core (or wider) host that demands a genuine ≥2× speedup at 8
-/// workers; on a single-core runner — where no true speedup is
-/// physically possible — it degrades to a 0.5× bound that still catches
-/// pathological pool overhead.
-fn speedup_floor_8t(host_threads: f64) -> f64 {
-    (0.25 * host_threads.min(8.0)).max(0.5)
+/// Scaling floor for `lu_factor_speedup_<w>t` at `w` workers (clamped to
+/// the measuring host's thread count by the caller):
+/// `max(0.5, 0.25 · min(8, w))`. At 8 workers that demands a genuine ≥2×
+/// speedup; at two workers or fewer — where little speedup is possible —
+/// it degrades to a 0.5× bound that still catches pathological pool
+/// overhead.
+fn speedup_floor(workers: f64) -> f64 {
+    (0.25 * workers.min(8.0)).max(0.5)
 }
 
 fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The requested sweep widths clamped to `host` threads, ascending and
+/// without repeats: a 2-thread host sweeps {1, 2} for the default
+/// {1, 2, 8}.
+fn clamp_widths(threads: &[usize], host: usize) -> Vec<usize> {
+    let mut w: Vec<usize> = threads.iter().map(|&t| t.clamp(1, host.max(1))).collect();
+    w.sort_unstable();
+    w.dedup();
+    w
+}
+
+/// The unblocked right-looking LU with partial pivoting: one rank-1
+/// update of the whole trailing matrix per column, element by element —
+/// the factor loop of `factor.rs`'s test-only `naive_lu_solve`. The
+/// reference the tiled `Lu::factor` is gated against; returns the packed
+/// factors (row swaps applied, permutation dropped).
+fn unblocked_lu(a: &DMat) -> DMat {
+    let n = a.nrows();
+    let mut lu = a.clone();
+    for k in 0..n {
+        let mut p = k;
+        for i in k + 1..n {
+            if lu[(i, k)].abs() > lu[(p, k)].abs() {
+                p = i;
+            }
+        }
+        if p != k {
+            for j in 0..n {
+                let tmp = lu[(k, j)];
+                lu[(k, j)] = lu[(p, j)];
+                lu[(p, j)] = tmp;
+            }
+        }
+        let pivot = lu[(k, k)];
+        for i in k + 1..n {
+            lu[(i, k)] /= pivot;
+            let m = lu[(i, k)];
+            for j in k + 1..n {
+                lu[(i, j)] -= m * lu[(k, j)];
+            }
+        }
+    }
+    lu
 }
 
 struct Sizes {
@@ -202,17 +250,19 @@ fn laplace_fd_csr(nodes: &geometry::NodeSet, lap: &linalg::Csr) -> linalg::Csr {
     t.to_csr()
 }
 
-/// Times the swept dense kernels at every requested pool width,
-/// recording `<kernel>.t<w>.median_ns` plus the derived speedup and
-/// scaling-efficiency scalars, and (when widths 1 and 8 are both swept)
-/// asserting the two hard gates. The dense problems always run at full
-/// size — and every sweep timing at the full warmup/rep counts — so the
-/// gated medians are comparable (and noise-robust) across `--quick` and
-/// full runs; only the sparse GMRES problem size follows `sz` (it gates
+/// Times the swept dense kernels at every requested pool width (clamped
+/// to the host, [`clamp_widths`]), recording `<kernel>.t<w>.median_ns`
+/// plus the derived speedup and scaling-efficiency scalars, and asserting
+/// the hard gates. At width 1 the tiled `lu_factor` is timed interleaved
+/// with [`unblocked_lu`]. The dense problems always run at full size —
+/// and every sweep timing at the full warmup/rep counts — so the gated
+/// medians are comparable (and noise-robust) across `--quick` and full
+/// runs; only the sparse GMRES problem size follows `sz` (it gates
 /// nothing).
 fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenSnapshot {
     let host = host_threads();
     snap = snap.scalar("host_threads", host as f64);
+    let widths = clamp_widths(threads, host);
 
     let full = Sizes::full();
     let n = full.lu_n;
@@ -262,10 +312,30 @@ fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenS
     ];
 
     let mut medians: Vec<(String, usize, f64)> = Vec::new();
-    for &t in threads {
+    for &t in &widths {
         let pool = std::sync::Arc::new(ThreadPool::new(t));
         for (name, size, body) in kernels.iter_mut() {
-            let stats = with_pool(&pool, || time_kernel(full.warmup, full.reps, &mut *body));
+            let stats = if *name == "lu_factor" && t == 1 {
+                let (tiled, unblocked) = with_pool(&pool, || {
+                    time_interleaved(full.warmup, full.reps, &mut *body, || {
+                        std::hint::black_box(unblocked_lu(&a));
+                    })
+                });
+                let ratio = unblocked.median_ns as f64 / (tiled.median_ns as f64).max(1.0);
+                println!(
+                    "{:>28}  n={size:<6} median {:>12} ns  (1 thread, {ratio:.2}x slower)",
+                    "lu_factor_unblocked.t1", unblocked.median_ns
+                );
+                snap = snap
+                    .scalar(
+                        "lu_factor_unblocked.t1.median_ns",
+                        unblocked.median_ns as f64,
+                    )
+                    .scalar("lu_factor_tiled_speedup_t1", ratio);
+                tiled
+            } else {
+                with_pool(&pool, || time_kernel(full.warmup, full.reps, &mut *body))
+            };
             println!(
                 "{:>28}  n={size:<6} median {:>12} ns  ({} threads)",
                 format!("{name}.t{t}"),
@@ -287,39 +357,58 @@ fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenS
         let Some(t1) = median_of(name, 1) else {
             continue;
         };
-        if let Some(t2) = median_of(name, 2) {
-            snap = snap.scalar(&format!("{name}_speedup_2t"), t1 / t2.max(1.0));
-        }
-        if let Some(t8) = median_of(name, 8) {
-            let speedup = t1 / t8.max(1.0);
-            let eff = speedup / (host.min(8) as f64).max(1.0);
+        for &t in widths.iter().filter(|&&t| t > 1) {
+            let Some(tw) = median_of(name, t) else {
+                continue;
+            };
+            let speedup = t1 / tw.max(1.0);
+            let eff = speedup / t as f64;
             println!(
                 "{:>28}  {speedup:.2}x (efficiency {eff:.2})",
-                format!("{name} 8t speedup")
+                format!("{name} {t}t speedup")
             );
             snap = snap
-                .scalar(&format!("{name}_speedup_8t"), speedup)
-                .scalar(&format!("{name}_scaling_eff_8t"), eff);
+                .scalar(&format!("{name}_speedup_{t}t"), speedup)
+                .scalar(&format!("{name}_scaling_eff_{t}t"), eff);
         }
     }
 
-    if let (Some(t1), Some(speedup)) = (
-        snap.get_scalar("lu_factor.t1.median_ns"),
-        snap.get_scalar("lu_factor_speedup_8t"),
-    ) {
-        assert!(
-            t1 <= LU_FACTOR_BASELINE_NS / LU_T1_IMPROVEMENT,
-            "single-thread lu_factor ({t1} ns) must beat the committed pre-blocking \
-             baseline ({LU_FACTOR_BASELINE_NS} ns) by >= {LU_T1_IMPROVEMENT}x"
-        );
-        let floor = speedup_floor_8t(host as f64);
-        assert!(
-            speedup >= floor,
-            "lu_factor_speedup_8t ({speedup:.2}) is below the scaling floor {floor:.2} \
-             for a {host}-core host"
-        );
-    }
+    let problems = sweep_gate_problems(&snap, host as f64);
+    assert!(problems.is_empty(), "{}", problems.join("; "));
     snap
+}
+
+/// The two hard sweep gates over whatever entries `snap` carries: the
+/// interleaved single-thread tiled-vs-unblocked ratio, and the scaling
+/// floor of every `lu_factor_speedup_<w>t` with `w` clamped to `host`.
+fn sweep_gate_problems(snap: &GoldenSnapshot, host: f64) -> Vec<String> {
+    let mut problems = Vec::new();
+    if let Some(r) = snap.get_scalar("lu_factor_tiled_speedup_t1") {
+        let cleared = r >= LU_T1_IMPROVEMENT; // false for a NaN too
+        if !cleared {
+            problems.push(format!(
+                "lu_factor_tiled_speedup_t1 {r:.2} is below the {LU_T1_IMPROVEMENT}x gate \
+                 (tiled vs unblocked LU, one thread, interleaved)"
+            ));
+        }
+    }
+    for (key, s) in &snap.scalars {
+        let width = key
+            .strip_prefix("lu_factor_speedup_")
+            .and_then(|w| w.strip_suffix('t'))
+            .and_then(|w| w.parse::<f64>().ok());
+        let Some(w) = width else {
+            continue;
+        };
+        let floor = speedup_floor(w.min(host));
+        let cleared = *s >= floor; // false for a NaN too
+        if !cleared {
+            problems.push(format!(
+                "{key} {s:.2} is below the scaling floor {floor} for a {host}-thread host"
+            ));
+        }
+    }
+    problems
 }
 
 fn record(snap: GoldenSnapshot, kernel: &str, nodes: usize, s: SpanStats) -> GoldenSnapshot {
@@ -470,6 +559,27 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         time_kernel(sz.warmup, sz.reps, || {
             let r = gmres(&a_lap, &b_lap, &m_lap, &opts_lap).expect("gmres_ilu0_laplace");
             std::hint::black_box(&r.x);
+        }),
+    );
+    // The same system through the sparse Laplace build's direct solver:
+    // factored once (split, RCM, envelope LU, checks), then one solve.
+    snap = record(
+        snap,
+        "envelope_lu_factor_laplace",
+        nodes.len(),
+        time_kernel(sz.warmup, sz.reps, || {
+            let f = EnvelopeLu::factor(&a_lap).expect("envelope_lu_factor_laplace");
+            std::hint::black_box(&f);
+        }),
+    );
+    let env = EnvelopeLu::factor(&a_lap).expect("envelope_lu_factor_laplace");
+    snap = record(
+        snap,
+        "envelope_lu_laplace",
+        nodes.len(),
+        time_kernel(sz.warmup, sz.reps.max(31), || {
+            let x = env.solve(&b_lap).expect("envelope_lu_laplace");
+            std::hint::black_box(&x);
         }),
     );
 
@@ -806,12 +916,12 @@ fn verify_snapshot(text: &str) -> Vec<String> {
 
 /// The sweep half of snapshot verification: `host_threads` plus the
 /// per-width timings and scaling gates. With `require_defaults` (the
-/// `perf_suite` snapshot, which always sweeps [`SWEEP_THREADS_DEFAULT`])
-/// every default-width entry and derived ratio must exist; without it
-/// (a standalone `perf_sweep` with possibly custom widths) the gates
-/// apply only to the entries present. The `lu_factor_speedup_8t` floor
-/// is computed from the snapshot's own `host_threads` — the machine that
-/// measured it, not the machine running `verify`.
+/// `perf_suite` snapshot, which always sweeps [`SWEEP_THREADS_DEFAULT`]
+/// clamped to its host) every default-width entry and derived ratio must
+/// exist; without it (a standalone `perf_sweep` with possibly custom
+/// widths) the gates apply only to the entries present. The scaling
+/// floors are computed from the snapshot's own `host_threads` — the
+/// machine that measured it, not the machine running `verify`.
 fn verify_sweep_entries(snap: &GoldenSnapshot, require_defaults: bool) -> Vec<String> {
     let mut problems = Vec::new();
     let Some(host) = snap.get_scalar("host_threads") else {
@@ -823,8 +933,9 @@ fn verify_sweep_entries(snap: &GoldenSnapshot, require_defaults: bool) -> Vec<St
         return problems;
     }
     if require_defaults {
+        let widths = clamp_widths(SWEEP_THREADS_DEFAULT, host as usize);
         for k in SWEPT_KERNELS {
-            for t in SWEEP_THREADS_DEFAULT {
+            for t in &widths {
                 let key = format!("{k}.t{t}.median_ns");
                 match snap.get_scalar(&key) {
                     None => problems.push(format!("missing sweep entry: {key}")),
@@ -834,28 +945,17 @@ fn verify_sweep_entries(snap: &GoldenSnapshot, require_defaults: bool) -> Vec<St
                     Some(_) => {}
                 }
             }
-            if snap.get_scalar(&format!("{k}_speedup_8t")).is_none() {
-                problems.push(format!("missing scalar: {k}_speedup_8t"));
+            for t in widths.iter().filter(|&&t| t > 1) {
+                if snap.get_scalar(&format!("{k}_speedup_{t}t")).is_none() {
+                    problems.push(format!("missing scalar: {k}_speedup_{t}t"));
+                }
             }
         }
-    }
-    if let Some(t1) = snap.get_scalar("lu_factor.t1.median_ns") {
-        if t1 > LU_FACTOR_BASELINE_NS / LU_T1_IMPROVEMENT {
-            problems.push(format!(
-                "lu_factor.t1.median_ns {t1} misses the {LU_T1_IMPROVEMENT}x improvement gate \
-                 over the {LU_FACTOR_BASELINE_NS} ns baseline"
-            ));
+        if snap.get_scalar("lu_factor_tiled_speedup_t1").is_none() {
+            problems.push("missing scalar: lu_factor_tiled_speedup_t1".to_string());
         }
     }
-    if let Some(s) = snap.get_scalar("lu_factor_speedup_8t") {
-        let floor = speedup_floor_8t(host);
-        if !s.is_finite() || s < floor {
-            problems.push(format!(
-                "lu_factor_speedup_8t {s} is below the scaling floor {floor} \
-                 for a {host}-thread host"
-            ));
-        }
-    }
+    problems.extend(sweep_gate_problems(snap, host));
     problems
 }
 
@@ -1009,5 +1109,54 @@ fn main() -> ExitCode {
             }
             write_snapshot(&snap, out.as_deref().unwrap_or("BENCH_perf.json"))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_widths_are_clamped_to_the_host() {
+        assert_eq!(clamp_widths(SWEEP_THREADS_DEFAULT, 2), vec![1, 2]);
+        assert_eq!(clamp_widths(SWEEP_THREADS_DEFAULT, 1), vec![1]);
+        assert_eq!(clamp_widths(SWEEP_THREADS_DEFAULT, 16), vec![1, 2, 8]);
+        assert_eq!(clamp_widths(&[8, 0, 4], 4), vec![1, 4]);
+    }
+
+    #[test]
+    fn unblocked_reference_factors_a_row_permutation() {
+        let n = 9;
+        let mut rng = Rng64::seed_from_u64(7);
+        let mut a = DMat::zeros(n, n);
+        rng.fill_uniform(a.as_mut_slice(), -1.0..1.0);
+        let lu = unblocked_lu(&a);
+        // Every row of L·U is a row of A.
+        for i in 0..n {
+            let row: Vec<f64> = (0..n)
+                .map(|j| {
+                    let l = |k: usize| if k == i { 1.0 } else { lu[(i, k)] };
+                    (0..=i.min(j)).map(|k| l(k) * lu[(k, j)]).sum()
+                })
+                .collect();
+            let hit = (0..n).any(|r| (0..n).all(|j| (row[j] - a[(r, j)]).abs() < 1e-12));
+            assert!(hit, "row {i} of L·U is no row of A");
+        }
+    }
+
+    #[test]
+    fn sweep_gates_read_ratios_not_absolute_times() {
+        let snap = |ratio: f64, s2: f64| {
+            GoldenSnapshot::new("perf_sweep")
+                .scalar("host_threads", 2.0)
+                .scalar("lu_factor_tiled_speedup_t1", ratio)
+                .scalar("lu_factor_speedup_2t", s2)
+                // A width the host does not have is held to the host's floor.
+                .scalar("lu_factor_speedup_8t", 0.9)
+        };
+        assert!(sweep_gate_problems(&snap(1.6, 1.2), 2.0).is_empty());
+        assert_eq!(sweep_gate_problems(&snap(1.4, 1.2), 2.0).len(), 1);
+        assert_eq!(sweep_gate_problems(&snap(1.6, 0.4), 2.0).len(), 1);
+        assert!(verify_sweep_entries(&snap(1.6, 1.2), false).is_empty());
     }
 }

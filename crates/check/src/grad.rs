@@ -11,8 +11,8 @@
 //!
 //! * DP vs FD — both differentiate the same discrete map, so they must
 //!   agree to FD truncation error (`≤ 1e-6` relative);
-//! * discrete adjoint vs FD (sparse path) — agreement is limited by the
-//!   GMRES solve tolerance (`≤ 1e-4`);
+//! * discrete adjoint vs FD (sparse RBF-FD path) — the same rung, held at
+//!   `≤ 1e-4`;
 //! * DAL vs DP — the optimise-then-discretise gradient differs from the
 //!   discretise-then-optimise one by discretisation error *by design*
 //!   (that gap is the paper's fig. 3b/4b point), so only direction
@@ -35,7 +35,6 @@ use control::surrogate::LaplaceSurrogate;
 use linalg::DVec;
 use meshfree_runtime::trace;
 use pde::heat::HeatControlProblem;
-use pde::laplace_fd::LaplaceFdProblem;
 use pde::ns_adjoint::NsAdjoint;
 use pde::ns_dp::NsDp;
 use pde::{LaplaceControlProblem, NsSolver};
@@ -150,7 +149,8 @@ impl GradReport {
 pub struct ToleranceLadder {
     /// DP (tape) vs central FD — both discrete; FD truncation only.
     pub dp_vs_fd: f64,
-    /// Sparse discrete adjoint vs FD — limited by the GMRES tolerance.
+    /// Sparse-backend DP (the discrete adjoint of the RBF-FD operator) vs
+    /// FD.
     pub adjoint_vs_fd: f64,
     /// DAL vs (unweighted) DP on the Laplace mid-wall window: minimum
     /// cosine alignment.
@@ -383,16 +383,18 @@ pub fn check_laplace_neural_op(
     vec![self_fd, cross]
 }
 
-/// Checks the sparse (RBF-FD + discrete adjoint) Laplace path against FD.
+/// Checks the sparse RBF-FD Laplace build (`LaplaceControlProblem::new_sparse`)
+/// against FD: its DP gradient is the discrete adjoint of the sparse
+/// operator, one transpose solve on the cached factor.
 pub fn check_laplace_sparse(
-    p: &LaplaceFdProblem,
+    p: &LaplaceControlProblem,
     c: &DVec,
     ladder: &ToleranceLadder,
 ) -> Vec<GradReport> {
-    let (_, g_adj) = p.cost_and_grad(c).expect("discrete adjoint gradient");
+    let (_, g_adj) = p.cost_and_grad_dp(c).expect("sparse DP gradient");
     let g_fd = fd_gradient_of(|cc| p.cost(cc), c, 1e-6).expect("FD gradient");
     let r = GradReport::compare(
-        "laplace-fd",
+        "laplace-sparse",
         "adjoint-vs-fd",
         g_adj.as_slice(),
         g_fd.as_slice(),

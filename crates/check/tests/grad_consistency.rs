@@ -9,10 +9,8 @@ use check::grad::{
 use control::surrogate::{LaplaceSurrogate, SurrogateSpec};
 use linalg::DVec;
 use pde::heat::{HeatConfig, HeatControlProblem};
-use pde::laplace_fd::LaplaceFdProblem;
 use pde::ns::NsConfig;
 use pde::{LaplaceControlProblem, NsSolver};
-use rbf::fd::FdConfig;
 
 /// A non-trivial control away from both `c ≡ 0` and the optimum.
 fn bump(x: &[f64]) -> DVec {
@@ -38,14 +36,7 @@ fn laplace_dense_ladder_holds() {
 
 #[test]
 fn laplace_sparse_adjoint_matches_fd() {
-    let p = LaplaceFdProblem::new(
-        14,
-        FdConfig {
-            stencil_size: 13,
-            degree: 2,
-        },
-    )
-    .unwrap();
+    let p = LaplaceControlProblem::new_sparse(14).unwrap();
     let c = bump(p.control_x());
     check_laplace_sparse(&p, &c, &ToleranceLadder::default());
 }

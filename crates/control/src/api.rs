@@ -36,7 +36,6 @@ use opt::CurvatureOracle;
 // grids sweep it next to strategy and seed without importing `opt`.
 pub use opt::OptimizerKind;
 use pde::heat::HeatControlProblem;
-use pde::laplace_fd::LaplaceFdProblem;
 use pde::ns_dp::NsDp;
 use pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState};
 use std::collections::HashMap;
@@ -130,16 +129,15 @@ impl From<LinalgError> for ControlError {
 
 impl ControlError {
     /// True for failures that a damped retry with a perturbed seed can
-    /// plausibly cure: an observed non-finite cost, or iterative-solver
-    /// breakdown / non-convergence (the Picard divergence mode).
+    /// plausibly cure: an observed non-finite cost, an iterative solver
+    /// that did not converge, or a singular pivot (the Picard divergence
+    /// mode).
     pub fn is_divergence(&self) -> bool {
         match self {
             ControlError::Diverged { .. } => true,
             ControlError::Linalg(e) => matches!(
                 e,
-                LinalgError::NotConverged { .. }
-                    | LinalgError::SingularMatrix { .. }
-                    | LinalgError::Breakdown { .. }
+                LinalgError::NotConverged { .. } | LinalgError::SingularMatrix { .. }
             ),
             _ => false,
         }
@@ -430,7 +428,7 @@ pub fn optimize_ctx(
 // Built-in objective adapters
 // ---------------------------------------------------------------------------
 
-/// Dense Laplace problem with DP (tape) gradients.
+/// Laplace problem (dense or sparse build) with DP (tape) gradients.
 pub struct LaplaceDpObjective<'p>(pub &'p LaplaceControlProblem);
 
 impl ControlObjective for LaplaceDpObjective<'_> {
@@ -454,7 +452,8 @@ impl ControlObjective for LaplaceDpObjective<'_> {
     }
 }
 
-/// Dense Laplace problem with DAL (continuous adjoint) gradients.
+/// Laplace problem (dense or sparse build) with DAL (continuous adjoint)
+/// gradients.
 pub struct LaplaceDalObjective<'p>(pub &'p LaplaceControlProblem);
 
 impl ControlObjective for LaplaceDalObjective<'_> {
@@ -469,24 +468,6 @@ impl ControlObjective for LaplaceDalObjective<'_> {
     }
     fn name(&self) -> &str {
         "laplace-dal"
-    }
-}
-
-/// Sparse RBF-FD Laplace problem (discrete-adjoint gradients).
-pub struct LaplaceFdObjective<'p>(pub &'p LaplaceFdProblem);
-
-impl ControlObjective for LaplaceFdObjective<'_> {
-    fn n_controls(&self) -> usize {
-        self.0.n_controls()
-    }
-    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
-        Ok(self.0.cost(c)?)
-    }
-    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        Ok(self.0.cost_and_grad(c)?)
-    }
-    fn name(&self) -> &str {
-        "laplace-fd"
     }
 }
 
@@ -687,8 +668,8 @@ pub enum ProblemSpec {
         nx: usize,
         /// Linear-solver backend: `DenseLu` builds the global-collocation
         /// problem (the byte-identical default); `SparseGmres` builds the
-        /// RBF-FD discretization solved by GMRES+ILU0, which scales to
-        /// node counts the dense path cannot reach. Ignored by the PINN
+        /// RBF-FD discretization, factored once by an envelope LU, which
+        /// scales to node counts the dense path cannot reach. Ignored by the PINN
         /// strategy (it never calls the linear solver during training).
         backend: BackendKind,
     },
@@ -1123,8 +1104,9 @@ impl RunSpecBuilder {
     }
     /// Linear-solver backend (Laplace and Navier–Stokes specs). The
     /// default [`BackendKind::DenseLu`] keeps run identifiers and results
-    /// byte-identical; [`BackendKind::SparseGmres`] switches every solve to
-    /// the sparse GMRES+ILU0 path and suffixes the run id with the backend
+    /// byte-identical; [`BackendKind::SparseGmres`] switches to the sparse
+    /// RBF-FD discretisation (Laplace: envelope LU; Navier–Stokes:
+    /// Schur-preconditioned GMRES) and suffixes the run id with the backend
     /// name so campaign grids can sweep `backend ∈ {DenseLu, SparseGmres}`.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         match &mut self.spec.problem {
@@ -1618,7 +1600,6 @@ fn execute_ns_pinn(
 mod tests {
     use super::*;
     use pde::heat::HeatConfig;
-    use rbf::fd::FdConfig;
     use std::time::Duration;
 
     #[test]
@@ -1670,19 +1651,12 @@ mod tests {
         let (rep, _) = optimize(&mut dal, &opts).unwrap();
         assert!(rep.final_cost < j0, "DAL objective failed to descend");
 
-        // Sparse FD.
-        let fdp = LaplaceFdProblem::new(
-            10,
-            FdConfig {
-                stencil_size: 13,
-                degree: 2,
-            },
-        )
-        .unwrap();
-        let mut fd = LaplaceFdObjective(&fdp);
-        let j0 = fd.cost(&fd.initial_control()).unwrap();
-        let (rep, _) = optimize(&mut fd, &opts).unwrap();
-        assert!(rep.final_cost < j0, "FD objective failed to descend");
+        // Sparse RBF-FD Laplace, DP through the sparse factor.
+        let sp = LaplaceControlProblem::new_sparse(10).unwrap();
+        let mut sparse = LaplaceDpObjective(&sp);
+        let j0 = sparse.cost(&sparse.initial_control()).unwrap();
+        let (rep, _) = optimize(&mut sparse, &opts).unwrap();
+        assert!(rep.final_cost < j0, "sparse DP objective failed to descend");
 
         // Heat.
         let hp = HeatControlProblem::new(HeatConfig {

@@ -10,16 +10,24 @@
 //!   The default: bitwise-identical to the historical direct path, optimal
 //!   for the dense global-collocation operators (which have no sparsity to
 //!   exploit).
-//! * [`SparseIterative`] — CSR + restarted GMRES with an ILU(0)
-//!   preconditioner (Jacobi fallback on singular pivots). The scale lever:
-//!   an RBF-FD discretisation stores `O(k·N)` entries instead of `O(N²)`,
-//!   so node counts far beyond the dense ceiling become tractable.
+//! * [`crate::EnvelopeLu`] — the sparse factor-once/solve-many direct
+//!   solver: identity (Dirichlet) rows split off, the rest RCM-ordered and
+//!   LU-factored in envelope form without row interchanges. It backs the
+//!   sparse RBF-FD Laplace system, whose operator does not depend on the
+//!   control: an RBF-FD discretisation stores `O(k·N)` entries and its
+//!   factor `O(N·nx)`, so node counts far beyond the dense ceiling become
+//!   tractable.
+//! * [`SparseIterative`] — CSR + restarted GMRES, with an ILU(0) or a
+//!   SIMPLE-style Schur preconditioner, for operators that change between
+//!   solves (the Navier–Stokes Picard saddle systems and taped solves with
+//!   a variable matrix), where a factorisation would not be reused.
 //!
-//! Both sides satisfy the same four operations: `solve`, `solve_transpose`
-//! (adjoints), `dim` and `memory_bytes`. Every sparse solve reports its
-//! iteration count and final residual through the `"linsolve"` trace layer,
-//! so a campaign sweep over `backend ∈ {DenseLu, SparseGmres}` records
-//! solver effort alongside cost histories.
+//! All of them satisfy the same four operations: `solve`,
+//! `solve_transpose` (adjoints), `dim` and `memory_bytes`. Every sparse
+//! solve reports through the `"linsolve"` trace layer (GMRES with its
+//! iteration count and final residual), so a campaign sweep over
+//! `backend ∈ {DenseLu, SparseGmres}` records solver effort alongside cost
+//! histories.
 
 use crate::error::Result;
 use crate::factor::Lu;
@@ -38,7 +46,11 @@ pub enum BackendKind {
     /// default; bitwise-identical to the historical direct path.
     #[default]
     DenseLu,
-    /// Sparse CSR + restarted GMRES with ILU(0) preconditioning.
+    /// The sparse RBF-FD discretisation. The name is historical and kept
+    /// because it appears in spec ids, ledgers and wire lines: the Laplace
+    /// build factors its operator once with [`crate::EnvelopeLu`], and the
+    /// Navier–Stokes build solves its saddle systems with
+    /// Schur-preconditioned GMRES ([`SparseIterative::gmres_saddle`]).
     SparseGmres,
 }
 
@@ -105,15 +117,16 @@ impl LinearBackend for Lu {
     }
 }
 
-/// The sparse backend: a CSR operator, its explicit transpose, and ILU(0)
-/// preconditioners for both, solved by restarted GMRES.
+/// The iterative sparse backend: a CSR operator, its explicit transpose,
+/// and preconditioners for both (ILU(0) or the Schur saddle
+/// preconditioner), solved by restarted GMRES.
 ///
-/// "Factorisation" here is the ILU(0) setup; [`SparseIterative::refactor`]
-/// recycles the struct for a new operator with the same shape (the Picard
-/// analogue of [`Lu::refactor`]). Solves are allocation-free inside the
-/// Krylov loop ([`Csr::matvec_into`] + preallocated buffers) and emit one
-/// `"linsolve"` trace event each with the iteration count and final
-/// relative residual.
+/// "Factorisation" here is the preconditioner setup;
+/// [`SparseIterative::refactor_saddle`] recycles the struct for the next
+/// Picard linearisation (the analogue of [`Lu::refactor`]). Solves are
+/// allocation-free inside the Krylov loop ([`Csr::matvec_into`] +
+/// preallocated buffers) and emit one `"linsolve"` trace event each with
+/// the iteration count and final relative residual.
 #[derive(Debug, Clone)]
 pub struct SparseIterative {
     a: Csr,
@@ -134,16 +147,6 @@ impl SparseIterative {
         SparseIterative { a, at, m, mt, opts }
     }
 
-    /// Re-prepares the backend for a new operator (same shape, typically
-    /// the next Picard linearisation): transpose and preconditioners are
-    /// rebuilt, the solver options are kept.
-    pub fn refactor(&mut self, a: Csr) {
-        self.at = a.transpose();
-        self.m = Preconditioner::ilu0_from(&a);
-        self.mt = Preconditioner::ilu0_from(&self.at);
-        self.a = a;
-    }
-
     /// Prepares GMRES with the SIMPLE-style Schur preconditioner
     /// ([`SaddlePrecond`]) for a 3×3 `u|v|p` saddle-point system.
     ///
@@ -161,9 +164,9 @@ impl SparseIterative {
         SparseIterative { a, at, m, mt, opts }
     }
 
-    /// [`SparseIterative::refactor`] for the saddle path: rebuilds the
-    /// flattened operator, its transpose and both Schur preconditioners for
-    /// the next Picard linearisation, keeping the solver options.
+    /// Re-prepares the saddle path for the next Picard linearisation:
+    /// rebuilds the flattened operator, its transpose and both Schur
+    /// preconditioners, keeping the solver options.
     pub fn refactor_saddle(&mut self, blocks: &BlockCsr) {
         self.a = blocks.flatten();
         self.at = self.a.transpose();
@@ -291,20 +294,6 @@ mod tests {
         // And it genuinely solves Aᵀx = b.
         let r = &a.matvec_t(&xs) - &b;
         assert!(r.norm2() < 1e-8 * b.norm2());
-    }
-
-    #[test]
-    fn refactor_switches_operators() {
-        let n = 30;
-        let a1 = advdiff_1d(n, 0.2);
-        let a2 = advdiff_1d(n, 0.6);
-        let b = DVec::full(n, 1.0);
-        let mut s = SparseIterative::gmres_ilu0(a1, IterOpts::gmres().tol(1e-12));
-        let x1 = s.solve(&b).unwrap();
-        s.refactor(a2.clone());
-        let x2 = s.solve(&b).unwrap();
-        assert!((&a2.matvec(&x2) - &b).norm2() < 1e-8);
-        assert!((&x1 - &x2).norm2() > 1e-6, "operators must differ");
     }
 
     #[test]

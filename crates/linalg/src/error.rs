@@ -35,12 +35,21 @@ pub enum LinalgError {
         /// Final relative residual.
         residual: f64,
     },
-    /// An iterative solver broke down (division by a vanishing inner product).
-    Breakdown {
-        /// Solver name.
-        solver: &'static str,
-        /// Human-readable detail.
-        detail: &'static str,
+    /// An unpivoted factorization met a pivot smaller than its threshold
+    /// times an entry below it: the operator needs row interchanges.
+    UnstablePivot {
+        /// Original row index of the pivot.
+        pivot: usize,
+        /// `|pivot| / |entry|` for the offending entry below it.
+        ratio: f64,
+    },
+    /// A factorization failed its own residual check: one solve for a
+    /// known answer missed the bound.
+    InaccurateFactor {
+        /// Normwise relative residual of the check solve.
+        residual: f64,
+        /// The bound it had to meet.
+        bound: f64,
     },
 }
 
@@ -69,9 +78,15 @@ impl fmt::Display for LinalgError {
                 f,
                 "{solver} did not converge after {iterations} iterations (residual {residual:.3e})"
             ),
-            LinalgError::Breakdown { solver, detail } => {
-                write!(f, "{solver} breakdown: {detail}")
-            }
+            LinalgError::UnstablePivot { pivot, ratio } => write!(
+                f,
+                "unstable pivot at row {pivot}: {ratio:.3e} of an entry below it; \
+                 the operator needs row interchanges"
+            ),
+            LinalgError::InaccurateFactor { residual, bound } => write!(
+                f,
+                "factor failed its residual check: {residual:.3e} > {bound:.1e}"
+            ),
         }
     }
 }
@@ -106,10 +121,15 @@ mod tests {
         assert!(e.to_string().contains("gmres"));
         let e = LinalgError::NotPositiveDefinite { row: 2 };
         assert!(e.to_string().contains("row 2"));
-        let e = LinalgError::Breakdown {
-            solver: "gmres",
-            detail: "rho ~ 0",
+        let e = LinalgError::UnstablePivot {
+            pivot: 3,
+            ratio: 0.0,
         };
-        assert!(e.to_string().contains("rho ~ 0"));
+        assert!(e.to_string().contains("row 3"));
+        let e = LinalgError::InaccurateFactor {
+            residual: 1e-3,
+            bound: 1e-10,
+        };
+        assert!(e.to_string().contains("residual check"));
     }
 }

@@ -20,9 +20,12 @@
 //!   RBF-FD local-stencil path.
 //! * [`iterative`] — restarted GMRES with simple preconditioners,
 //!   reporting a uniform [`SolveReport`].
-//! * [`backend`] — the [`LinearBackend`] abstraction unifying dense LU and
-//!   [`SparseIterative`] (GMRES+ILU0) behind one solve/transpose-solve
-//!   contract, selectable per run via [`BackendKind`].
+//! * [`envelope`] — [`EnvelopeLu`], the factor-once sparse direct solver:
+//!   identity rows split off, reverse Cuthill–McKee ordering, unpivoted
+//!   envelope LU with a pivot check and a residual check.
+//! * [`backend`] — the [`LinearBackend`] abstraction unifying dense LU,
+//!   [`EnvelopeLu`] and [`SparseIterative`] (GMRES+ILU0 or the Schur
+//!   saddle preconditioner) behind one solve/transpose-solve contract.
 //! * [`blocking`] — the unified blocking constants (LU tile, SIMD lane
 //!   count, multi-RHS block, fixed parallel block count) and the
 //!   chunks-of-8 dot kernel shared by every dense hot loop.
@@ -34,6 +37,7 @@
 pub mod backend;
 pub mod blocking;
 pub mod dense;
+pub mod envelope;
 pub mod error;
 pub mod factor;
 pub mod iterative;
@@ -43,6 +47,7 @@ pub mod vector;
 
 pub use backend::{BackendKind, LinearBackend, SparseIterative};
 pub use dense::DMat;
+pub use envelope::EnvelopeLu;
 pub use error::{LinalgError, Result};
 pub use factor::{Cholesky, Lu, Qr};
 pub use iterative::{gmres, IterOpts, Preconditioner, SolveReport};

@@ -20,9 +20,6 @@
 //!   of Table 3).
 //! * [`ns_adjoint`] — the hand-derived continuous adjoint Navier–Stokes
 //!   equations for DAL, discretised with the same coupled machinery.
-//! * [`laplace_fd`] — the sparse RBF-FD + ILU(0)/GMRES variant of the
-//!   Laplace problem with a discrete-adjoint gradient (the memory-light
-//!   path the paper's Table 3 discussion motivates).
 //! * [`heat`] — the time-dependent extension (the paper's stated future
 //!   work): implicit-Euler heat-equation control, DP through the whole
 //!   march with one shared factorization.
@@ -31,7 +28,6 @@ pub mod advdiff;
 pub mod analytic;
 pub mod heat;
 pub mod laplace;
-pub mod laplace_fd;
 pub mod ns;
 pub mod ns_adjoint;
 pub mod ns_dp;

@@ -5,8 +5,8 @@
 //! against the prepared operator is `O(N²)` — is what a long-lived
 //! service amortizes across *requests*, not just across the iterations
 //! of one run. [`FactorCache`] holds built problems ([`BuiltProblem`]:
-//! the dense `Lu` factors or the sparse pattern + ILU(0) preconditioners
-//! behind an `Arc<dyn LinearBackend>`, the assembled Navier–Stokes
+//! the dense `Lu` factors or the sparse envelope factor behind an
+//! `Arc<dyn LinearBackend>`, the assembled Navier–Stokes
 //! operator blocks) keyed by [`ProblemSpec::build_key`], shared by every
 //! connected client.
 //!

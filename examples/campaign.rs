@@ -33,7 +33,7 @@ fn neural_op_audit_gap(ledger: &Path, spec_id: &str) -> f64 {
 }
 
 /// An 8-spec campaign — three synthetic, one injected NaN-diverging spec,
-/// one real Laplace run on the sparse GMRES+ILU0 backend, one sparse-NS
+/// one real Laplace run on the sparse RBF-FD backend, one sparse-NS
 /// run on the RBF-FD saddle + Schur-GMRES path, one second-order
 /// (Newton-CG) Laplace DAL run, and one amortized (neural-op) Laplace
 /// run; used by CI to prove the retry path, the non-default backend

@@ -1,5 +1,5 @@
 //! The pluggable control API: run four different problems — dense Laplace
-//! (DP), sparse RBF-FD Laplace, heat-equation terminal control and a
+//! (DP), sparse RBF-FD Laplace (DP), heat-equation terminal control and a
 //! user-defined toy objective — through one generic Adam driver.
 //!
 //! ```sh
@@ -7,14 +7,11 @@
 //! ```
 
 use meshfree_oc::control::api::{
-    optimize, ControlError, ControlObjective, HeatObjective, LaplaceDpObjective,
-    LaplaceFdObjective, OptimizeOpts,
+    optimize, ControlError, ControlObjective, HeatObjective, LaplaceDpObjective, OptimizeOpts,
 };
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::heat::{HeatConfig, HeatControlProblem};
-use meshfree_oc::pde::laplace_fd::LaplaceFdProblem;
 use meshfree_oc::pde::LaplaceControlProblem;
-use meshfree_oc::rbf::fd::FdConfig;
 
 /// A user-defined objective: fit a control to a fixed profile under an L2
 /// penalty — three lines of glue and it runs on the same driver.
@@ -62,25 +59,18 @@ fn main() {
         rep.method, rep.final_cost, rep.wall_s
     );
 
-    // 2. Sparse RBF-FD Laplace, discrete-adjoint gradients.
-    let fdp = LaplaceFdProblem::new(
-        16,
-        FdConfig {
-            stencil_size: 13,
-            degree: 2,
-        },
-    )
-    .expect("sparse laplace");
-    let mut obj = LaplaceFdObjective(&fdp);
+    // 2. Sparse RBF-FD Laplace, DP gradients through the sparse factor.
+    let sp = LaplaceControlProblem::new_sparse(16).expect("sparse laplace");
+    let mut obj = LaplaceDpObjective(&sp);
     let j0 = obj.cost(&obj.initial_control()).expect("cost");
     let (rep, _) = optimize(&mut obj, &opts).expect("run");
     println!(
-        "{:<18} {j0:>12.3e} {:>12.3e} {:>9.2}   ({} nnz vs {} dense)",
-        rep.method,
+        "{:<18} {j0:>12.3e} {:>12.3e} {:>9.2}   ({} solver bytes vs {} dense)",
+        format!("{} sparse", rep.method),
         rep.final_cost,
         rep.wall_s,
-        fdp.nnz(),
-        16 * 16 * 16 * 16
+        sp.backend().memory_bytes(),
+        16 * 16 * 16 * 16 * 8
     );
 
     // 3. Heat-equation terminal control, DP through time.

@@ -26,14 +26,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "==> perf suite smoke + trajectory gate"
 # Quick measure exercises every timed kernel end-to-end (including the
-# {1,2,8} thread sweep, whose dense kernels always run at full size and
-# rep counts); its output goes to target/ so CI never dirties the
-# committed trajectory. The verify passes gate both snapshots: every
-# required entry present, and the two hard sweep gates — the 1.5x
-# single-thread lu_factor improvement over the committed pre-blocking
-# baseline, and the host-aware 8-thread scaling floor — cleared. Most
-# timings are a soft report (hardware varies); the structure plus those
-# gates are the hard contract.
+# {1,2,8} thread sweep clamped to the host's threads, whose dense kernels
+# always run at full size and rep counts); its output goes to target/ so
+# CI never dirties the committed trajectory. The verify passes gate both
+# snapshots: every required entry present, and the two hard sweep gates —
+# the 1.5x single-thread win of the tiled lu_factor over the unblocked
+# reference, timed interleaved, and the per-width scaling floors —
+# cleared. Most timings are a soft report (hardware varies); the
+# structure plus those gates are the hard contract.
 cargo run -q --release -p meshfree-bench --bin perf_suite -- \
     measure --quick --out target/BENCH_perf_ci.json --baseline BENCH_perf.json
 cargo run -q --release -p meshfree-bench --bin perf_suite -- verify BENCH_perf.json
@@ -65,7 +65,7 @@ fi
 
 echo "==> campaign driver smoke (retry path, fault injection)"
 # An 8-spec campaign with one injected NaN-diverging spec, one Laplace run
-# on the sparse GMRES+ILU0 backend, one Navier–Stokes run on the RBF-FD
+# on the sparse RBF-FD backend (envelope LU), one Navier–Stokes run on the RBF-FD
 # saddle + Schur-GMRES backend, one second-order (Newton-CG DAL) Laplace
 # run, and one amortized (neural-op surrogate) Laplace run: the example
 # asserts exactly one spec was retried, none were lost, and the neural-op

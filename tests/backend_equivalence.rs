@@ -2,18 +2,19 @@
 //!
 //! Three claims, tested end-to-end through the public façade:
 //!
-//! 1. On the *same* linear system, [`BackendKind::SparseGmres`] reproduces
-//!    the dense LU answer to ≤ 1e-8 relative — judged by the golden-run
-//!    tolerance policy ([`check::golden::GoldenPolicy`]), not ad-hoc
-//!    comparisons, on the RBF-FD Laplace system and on every saddle system
-//!    of a full Navier–Stokes DAL run (forward Picard sweep *and* coupled
-//!    adjoint).
+//! 1. On the *same* linear system, the sparse engines reproduce the dense
+//!    LU answer to ≤ 1e-8 relative — judged by the golden-run tolerance
+//!    policy ([`check::golden::GoldenPolicy`]), not ad-hoc comparisons, on
+//!    the RBF-FD Laplace system (the envelope factor of the Laplace build
+//!    to ≤ 1e-12 at nx ∈ {12, 24, 48}, and GMRES + ILU(0)) and on every
+//!    saddle system of a full Navier–Stokes DAL run (forward Picard sweep
+//!    *and* coupled adjoint).
 //! 2. Full control runs complete on the sparse backend beyond the dense
 //!    path's perf-suite ceilings — Laplace at `nx = 48` (4× the dense
 //!    `laplace_nx = 24` node count) and Navier–Stokes at ≥ 2× the dense
-//!    `ns_h = 0.14` node count — while reporting per-solve iteration
-//!    counts on the `"linsolve"` trace layer (`gmres_ilu0` for Laplace,
-//!    `gmres_schur` for the saddle systems).
+//!    `ns_h = 0.14` node count — while reporting every solve on the
+//!    `"linsolve"` trace layer (`envelope_lu` for Laplace, `gmres_schur`
+//!    with its iteration count for the saddle systems).
 //! 3. The sparse NS saddle assembly is exact (its action matches its own
 //!    densified image and the taped-DP `A₀ + Σ diag(sₖ)Cₖ` decomposition
 //!    to ≤ 1e-10) and bitwise deterministic across pool widths.
@@ -22,7 +23,9 @@ use meshfree_oc::autodiff::gradcheck::rel_error;
 use meshfree_oc::check::golden::{compare, GoldenPolicy, GoldenSnapshot};
 use meshfree_oc::control::api::{execute, BackendKind, RunSpec, Strategy};
 use meshfree_oc::geometry::generators::{channel_cloud, unit_square_grid, ChannelConfig};
-use meshfree_oc::linalg::{Csr, DVec, IterOpts, LinearBackend, Lu, SparseIterative, Triplets};
+use meshfree_oc::linalg::{
+    Csr, DVec, EnvelopeLu, IterOpts, LinearBackend, Lu, SparseIterative, Triplets,
+};
 use meshfree_oc::pde::ns_adjoint::NsAdjoint;
 use meshfree_oc::pde::ns_dp::NsDp;
 use meshfree_oc::pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState};
@@ -93,11 +96,37 @@ fn sparse_backend_matches_dense_lu_on_the_rbf_fd_laplace_system() {
     assert_equivalent("laplace-fd-adjoint-equivalence", &xt_dense, &xt_sparse);
 }
 
+/// The factor behind the sparse Laplace build is a direct solve: forward
+/// and transpose solves match dense partial-pivoting LU to ≤ 1e-12
+/// relative (max norm) on the RBF-FD Laplace system up to fig. 3's sparse
+/// grid.
+#[test]
+fn envelope_factor_matches_dense_lu_on_the_rbf_fd_laplace_system() {
+    for nx in [12, 24, 48] {
+        let (a, b) = laplace_fd_system(nx);
+        let lu = Lu::factor(&a.to_dense()).unwrap();
+        let env = EnvelopeLu::factor(&a).unwrap();
+        assert_eq!(env.dirichlet_rows(), 4 * (nx - 1));
+        for (what, x_env, x_lu) in [
+            ("solve", env.solve(&b), lu.solve(&b)),
+            (
+                "solve_transpose",
+                env.solve_transpose(&b),
+                lu.solve_transpose(&b),
+            ),
+        ] {
+            let (x_env, x_lu) = (x_env.unwrap(), x_lu.unwrap());
+            let rel = (&x_env - &x_lu).norm_inf() / x_lu.norm_inf();
+            assert!(rel <= 1e-12, "nx = {nx}: {what} is {rel:.2e} from dense LU");
+        }
+    }
+}
+
 /// `solve_many` must be invisible in the answers: the serve batcher
 /// coalesces concurrent same-operator requests into one blocked solve, and
 /// a client may not receive different bits depending on who else was
-/// connected. Asserted bitwise (not via the golden policy) on both the
-/// blocked dense-LU override and the sparse backend's default loop.
+/// connected. Asserted bitwise (not via the golden policy) on the blocked
+/// dense-LU override and on the sparse backends' default loop.
 #[test]
 fn solve_many_is_bitwise_identical_to_one_at_a_time_on_both_backends() {
     let (a, b) = laplace_fd_system(12);
@@ -108,11 +137,12 @@ fn solve_many_is_bitwise_identical_to_one_at_a_time_on_both_backends() {
         .collect();
 
     let dense: Box<dyn LinearBackend> = Box::new(Lu::factor(&a.to_dense()).unwrap());
+    let envelope: Box<dyn LinearBackend> = Box::new(EnvelopeLu::factor(&a).unwrap());
     let sparse: Box<dyn LinearBackend> = Box::new(SparseIterative::gmres_ilu0(
         a,
         IterOpts::gmres().max_iter(6000).tol(1e-11).restart(80),
     ));
-    for backend in [&dense, &sparse] {
+    for backend in [&dense, &envelope, &sparse] {
         let batched = backend.solve_many(&rhs).unwrap();
         assert_eq!(batched.len(), rhs.len());
         for (k, (b, x)) in rhs.iter().zip(&batched).enumerate() {
@@ -381,27 +411,23 @@ fn sparse_backend_completes_control_runs_at_4x_the_dense_ceiling() {
     }
     trace::clear_sink();
 
-    // Every sparse solve must have reported its Krylov iteration count on
-    // the "linsolve" layer. The sink is process-global and other tests may
-    // interleave, so assert on presence and positivity, not exact counts.
+    // Every sparse solve runs on the envelope factor and reports on the
+    // "linsolve" layer: forward solves as `envelope_lu`, the DP reverse
+    // sweep's transpose solves as `envelope_lu_t`. The sink is
+    // process-global and other tests may interleave, so assert on
+    // presence, not exact counts.
     let events = events.lock().unwrap();
-    let iters: Vec<usize> = events
+    let solvers: Vec<&str> = events
         .iter()
         .filter_map(|e| match e {
-            TraceEvent::Solve {
-                layer,
-                solver,
-                event,
-            } if *layer == "linsolve" && solver.starts_with("gmres_ilu0") => Some(event.iter),
+            TraceEvent::Solve { layer, solver, .. } if *layer == "linsolve" => Some(*solver),
             _ => None,
         })
         .collect();
-    assert!(
-        !iters.is_empty(),
-        "sparse control runs emitted no linsolve trace events"
-    );
-    assert!(
-        iters.iter().all(|&it| it > 0),
-        "every traced sparse solve must report a positive iteration count: {iters:?}"
-    );
+    for label in ["envelope_lu", "envelope_lu_t"] {
+        assert!(
+            solvers.contains(&label),
+            "sparse control runs emitted no {label} linsolve events: {solvers:?}"
+        );
+    }
 }

@@ -2,16 +2,14 @@
 //! path, the time-dependent heat control, the mixed-BC Poisson solver, and
 //! the generic control API — all crossing crate boundaries.
 
-use meshfree_oc::control::api::{optimize, LaplaceFdObjective, OptimizeOpts};
+use meshfree_oc::control::api::{optimize, LaplaceDpObjective, OptimizeOpts};
 use meshfree_oc::control::validate::validate_laplace_control;
 use meshfree_oc::geometry::generators::unit_square_grid;
 use meshfree_oc::geometry::{io as geo_io, NodeKind, Point2};
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::heat::{HeatConfig, HeatControlProblem};
-use meshfree_oc::pde::laplace_fd::LaplaceFdProblem;
 use meshfree_oc::pde::poisson::PoissonProblem;
 use meshfree_oc::pde::LaplaceControlProblem;
-use meshfree_oc::rbf::fd::FdConfig;
 use meshfree_oc::rbf::RbfKernel;
 
 #[test]
@@ -20,21 +18,14 @@ fn sparse_and_dense_laplace_agree_on_the_problem_they_solve() {
     // mid-wall, and each other's control must validate well on the dense
     // referee.
     let dense = LaplaceControlProblem::new(14).unwrap();
-    let sparse = LaplaceFdProblem::new(
-        14,
-        FdConfig {
-            stencil_size: 13,
-            degree: 2,
-        },
-    )
-    .unwrap();
+    let sparse = LaplaceControlProblem::new_sparse(14).unwrap();
     let opts = OptimizeOpts {
         iterations: 120,
         lr: 1e-2,
         log_every: 40,
         ..Default::default()
     };
-    let (_, c_sparse) = optimize(&mut LaplaceFdObjective(&sparse), &opts).unwrap();
+    let (_, c_sparse) = optimize(&mut LaplaceDpObjective(&sparse), &opts).unwrap();
     let verdict = validate_laplace_control(&dense, &c_sparse).unwrap();
     assert!(
         verdict.improvement < 0.05,

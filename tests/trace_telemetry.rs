@@ -1,17 +1,19 @@
-//! End-to-end telemetry: a Laplace DAL-vs-DP comparison run traced to a
-//! JSONL file must contain span timings and per-iteration solve events
-//! from all three instrumented layers — `linear` (Krylov iterations),
-//! `pde` (mesh-free solve loops) and `control` (optimizer iterations).
+//! End-to-end telemetry: a Laplace DAL-vs-DP comparison run, a sparse
+//! Laplace DP gradient and a sparse Navier–Stokes solve traced to a JSONL
+//! file must contain span timings and solve events from every instrumented
+//! layer — `linear` (Krylov iterations), `linsolve` (one event per
+//! backend solve), `pde` (mesh-free solve loops) and `control` (optimizer
+//! iterations).
 //!
 //! One `#[test]` only: the trace sink is process-global, and this file
 //! compiles to its own test binary, so nothing else can race it.
 
+use meshfree_oc::control::api::BackendKind;
 use meshfree_oc::control::laplace::{run_ctx, GradMethod, LaplaceRunConfig};
 use meshfree_oc::control::RunCtx;
+use meshfree_oc::geometry::generators::ChannelConfig;
 use meshfree_oc::linalg::DVec;
-use meshfree_oc::pde::laplace_fd::LaplaceFdProblem;
-use meshfree_oc::pde::LaplaceControlProblem;
-use meshfree_oc::rbf::fd::FdConfig;
+use meshfree_oc::pde::{LaplaceControlProblem, NsConfig, NsSolver};
 use meshfree_oc::runtime::trace::{self, ParsedEvent};
 
 #[test]
@@ -36,18 +38,28 @@ fn laplace_run_traces_all_three_layers() {
     assert!(dal.report.final_cost.is_finite());
     assert!(dp.report.final_cost.is_finite());
 
-    // Linear + pde layers: the sparse RBF-FD variant solved with
-    // preconditioned GMRES (forward + discrete-adjoint solves).
-    let fd = LaplaceFdProblem::new(
-        12,
-        FdConfig {
-            stencil_size: 13,
-            degree: 2,
+    // Linsolve layer: the sparse RBF-FD Laplace build factors its operator
+    // once (`envelope_lu_factor`); a DP gradient is one forward and one
+    // transpose solve on that factor.
+    let sparse = LaplaceControlProblem::new_sparse(12).unwrap();
+    let c = DVec::from_fn(sparse.n_controls(), |i| 0.1 * sparse.control_x()[i]);
+    sparse.cost_and_grad_dp(&c).unwrap();
+
+    // Linear + pde layers: a sparse Navier–Stokes solve runs Picard sweeps
+    // whose saddle systems go through Schur-preconditioned GMRES.
+    let ns = NsSolver::new(NsConfig {
+        channel: ChannelConfig {
+            h: 0.2,
+            ..Default::default()
         },
-    )
+        re: 40.0,
+        slot_velocity: 0.2,
+        backend: BackendKind::SparseGmres,
+        ..Default::default()
+    })
     .unwrap();
-    let c = DVec::from_fn(fd.n_controls(), |i| 0.1 * fd.control_x()[i]);
-    fd.cost_and_grad(&c).unwrap();
+    let inflow = DVec::from_fn(ns.n_controls(), |i| 0.1 + 0.02 * i as f64);
+    ns.solve(&inflow, 2, None).unwrap();
 
     trace::clear_sink();
     let events = trace::read_jsonl(&path).unwrap();
@@ -56,13 +68,17 @@ fn laplace_run_traces_all_three_layers() {
 
     // Every layer must appear, with per-iteration solve events.
     let mut layers: Vec<&str> = Vec::new();
+    let mut solvers: Vec<&str> = Vec::new();
     let mut spans: Vec<&str> = Vec::new();
     let mut counters: Vec<&str> = Vec::new();
     for e in &events {
         match e {
-            ParsedEvent::Solve { layer, .. } => {
+            ParsedEvent::Solve { layer, solver, .. } => {
                 if !layers.contains(&layer.as_str()) {
                     layers.push(layer);
+                }
+                if !solvers.contains(&solver.as_str()) {
+                    solvers.push(solver);
                 }
             }
             ParsedEvent::Span { name, .. } => {
@@ -77,15 +93,18 @@ fn laplace_run_traces_all_three_layers() {
             }
         }
     }
-    for layer in ["linear", "pde", "control"] {
+    for layer in ["linear", "linsolve", "pde", "control"] {
         assert!(layers.contains(&layer), "no solve events at layer {layer}");
+    }
+    for solver in ["envelope_lu", "envelope_lu_t", "gmres_schur", "ns_picard"] {
+        assert!(solvers.contains(&solver), "no solve events from {solver}");
     }
     for span in [
         "laplace_control_run",
         "lu_factor",
+        "envelope_lu_factor",
         "gmres_solve",
-        "laplace_fd_solve",
-        "laplace_fd_adjoint",
+        "ns_solve",
     ] {
         assert!(spans.contains(&span), "missing span {span}");
     }
