@@ -14,9 +14,8 @@
 //!   central-difference oracle (footnote 11).
 
 use bench::write_csv;
-use control::laplace::{run_ctx as laplace_run, GradMethod, LaplaceRunConfig};
-use control::ns::{initial_control, run_ctx as ns_run, NsRunConfig};
-use control::RunCtx;
+use control::ns::initial_control;
+use control::{execute_on, ControlError, Problem, RunCtx, RunSpec, SpecRun, Strategy};
 use geometry::generators::{unit_square_scattered, ChannelConfig};
 use geometry::{NodeKind, Point2};
 use linalg::{DVec, Lu};
@@ -24,6 +23,25 @@ use opt::{Optimizer, Schedule, Sgd};
 use pde::ns_dp::NsDp;
 use pde::{LaplaceControlProblem, NsConfig, NsSolver};
 use rbf::{operators::fit_matrix, PolyBasis, RbfKernel};
+
+/// One unsupervised run at Table 1's `lr = 1e-2` on an already-built
+/// Laplace problem (the spec's `nx` only labels the run).
+fn laplace_run(
+    p: &LaplaceControlProblem,
+    strategy: Strategy,
+    nx: usize,
+    iterations: usize,
+    log_every: usize,
+) -> Result<SpecRun, ControlError> {
+    let spec = RunSpec::laplace()
+        .nx(nx)
+        .strategy(strategy)
+        .iterations(iterations)
+        .lr(1e-2)
+        .log_every(log_every)
+        .build();
+    execute_on(Problem::Laplace(p), &spec, &RunCtx::unchecked())
+}
 
 fn ablation_re() {
     println!("== ablation: DAL vs DP across Reynolds numbers ==");
@@ -48,15 +66,21 @@ fn ablation_re() {
             let st = solver.solve(&c0, 12, None).expect("solve");
             solver.cost(&st)
         };
-        let cfg = NsRunConfig {
-            iterations: 40,
-            refinements: 5,
-            lr: 5e-2,
-            log_every: 10,
-            initial_scale: 1.0,
+        let run = |strategy: Strategy| {
+            let spec = RunSpec::navier_stokes()
+                .resolution(0.13)
+                .reynolds(re)
+                .slot_velocity(solver.cfg().slot_velocity)
+                .strategy(strategy)
+                .iterations(40)
+                .refinements(5)
+                .lr(5e-2)
+                .log_every(10)
+                .build();
+            execute_on(Problem::NavierStokes(&solver), &spec, &RunCtx::unchecked())
         };
-        let dal = ns_run(&solver, &cfg, GradMethod::Dal, &RunCtx::unchecked()).expect("dal");
-        let dp = ns_run(&solver, &cfg, GradMethod::Dp, &RunCtx::unchecked()).expect("dp");
+        let dal = run(Strategy::Dal).expect("dal");
+        let dp = run(Strategy::Dp).expect("dp");
         println!(
             "{re:>6} {j0:>12.3e} {:>12.3e} {:>12.3e}",
             dal.report.final_cost, dp.report.final_cost
@@ -137,15 +161,8 @@ fn ablation_kernels() {
     ] {
         match LaplaceControlProblem::with_kernel(16, kernel, 1) {
             Ok(p) => {
-                let cfg = LaplaceRunConfig {
-                    nx: 16,
-                    iterations: 150,
-                    lr: 1e-2,
-                    log_every: 50,
-                    ..Default::default()
-                };
                 let cond = p.condition_estimate();
-                match laplace_run(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()) {
+                match laplace_run(&p, Strategy::Dp, 16, 150, 50) {
                     Ok(r) => {
                         println!("{name:>22} {:>12.3e} {cond:>14.3e}", r.report.final_cost);
                         rows.push(vec![id, r.report.final_cost, cond]);
@@ -171,19 +188,7 @@ fn ablation_optimizer() {
     let p = LaplaceControlProblem::new(20).expect("problem");
     let iters = 200;
     // Adam path: the standard driver.
-    let adam = laplace_run(
-        &p,
-        &LaplaceRunConfig {
-            nx: 20,
-            iterations: iters,
-            lr: 1e-2,
-            log_every: 50,
-            ..Default::default()
-        },
-        GradMethod::Dal,
-        &RunCtx::unchecked(),
-    )
-    .expect("adam run");
+    let adam = laplace_run(&p, Strategy::Dal, 20, iters, 50).expect("adam run");
     // SGD path: same gradients, plain descent.
     let n = p.n_controls();
     let mut c = DVec::zeros(n);
@@ -305,15 +310,8 @@ fn ablation_sparse() {
         let sparse = LaplaceControlProblem::new_sparse(nx).expect("sparse");
         let sparse_bytes = sparse.backend().memory_bytes();
         // One short optimization on each to compare attainable costs.
-        let cfg = LaplaceRunConfig {
-            nx,
-            iterations: 120,
-            lr: 1e-2,
-            log_every: 40,
-            ..Default::default()
-        };
         let j_final = |p: &LaplaceControlProblem| {
-            laplace_run(p, &cfg, GradMethod::Dp, &RunCtx::unchecked())
+            laplace_run(p, Strategy::Dp, nx, 120, 40)
                 .expect("Laplace DP run")
                 .report
                 .final_cost
@@ -381,17 +379,10 @@ fn ablation_heat() {
 fn ablation_layouts() {
     println!("== ablation: grid vs scattered layout for the Laplace control run ==");
     println!("(paper §3.1: the grid was chosen for conditioning; same optimum shape)\n");
-    let cfg = LaplaceRunConfig {
-        nx: 16,
-        iterations: 200,
-        lr: 1e-2,
-        log_every: 50,
-        ..Default::default()
-    };
     let grid = LaplaceControlProblem::new(16).expect("grid");
     let scat = LaplaceControlProblem::new_scattered(14 * 14, 16).expect("scattered");
-    let rg = laplace_run(&grid, &cfg, GradMethod::Dp, &RunCtx::unchecked()).expect("grid run");
-    let rs = laplace_run(&scat, &cfg, GradMethod::Dp, &RunCtx::unchecked()).expect("scattered run");
+    let rg = laplace_run(&grid, Strategy::Dp, 16, 200, 50).expect("grid run");
+    let rs = laplace_run(&scat, Strategy::Dp, 16, 200, 50).expect("scattered run");
     println!(
         "grid      : J = {:.3e}   cond ~ {:.3e}",
         rg.report.final_cost,

@@ -12,10 +12,8 @@
 //! (defaults 0.12, 50, 1200).
 
 use bench::write_csv;
-use control::laplace::GradMethod;
-use control::ns::{run_ctx, NsRunConfig};
 use control::pinn_ns::{NsPinn, NsPinnConfig};
-use control::RunCtx;
+use control::{execute_on, Problem, RunCtx, RunSpec, Strategy};
 use geometry::generators::ChannelConfig;
 use linalg::DVec;
 use pde::{NsConfig, NsSolver, NsState};
@@ -66,15 +64,24 @@ fn main() {
     })
     .expect("solver");
 
-    let mk_cfg = |k: usize| NsRunConfig {
-        iterations,
-        refinements: k,
-        lr: 1e-1,
-        log_every: 10,
-        initial_scale: 1.0,
+    let run = |strategy: Strategy, refinements: usize| {
+        let spec = RunSpec::navier_stokes()
+            .resolution(h)
+            .reynolds(100.0)
+            .slot_velocity(solver.cfg().slot_velocity)
+            .strategy(strategy)
+            .iterations(iterations)
+            .refinements(refinements)
+            .lr(1e-1)
+            .log_every(10)
+            .build();
+        execute_on(Problem::NavierStokes(&solver), &spec, &RunCtx::unchecked())
+            .unwrap_or_else(|e| panic!("{}: {e}", strategy.name()))
     };
-    let dp = run_ctx(&solver, &mk_cfg(10), GradMethod::Dp, &RunCtx::unchecked()).expect("DP");
-    let dal = run_ctx(&solver, &mk_cfg(3), GradMethod::Dal, &RunCtx::unchecked()).expect("DAL");
+    let dp = run(Strategy::Dp, 10);
+    let dal = run(Strategy::Dal, 3);
+    let dp_state = dp.ns_state.as_ref().expect("NS runs return their state");
+    let dal_state = dal.ns_state.as_ref().expect("NS runs return their state");
 
     let mut pinn = NsPinn::new(NsPinnConfig {
         channel: solver.cfg().channel.clone(),
@@ -98,10 +105,10 @@ fn main() {
             ));
         }
     }
-    let u_dp = sample_nearest(&solver, &dp.state.u, &pts);
-    let v_dp = sample_nearest(&solver, &dp.state.v, &pts);
-    let u_dal = sample_nearest(&solver, &dal.state.u, &pts);
-    let v_dal = sample_nearest(&solver, &dal.state.v, &pts);
+    let u_dp = sample_nearest(&solver, &dp_state.u, &pts);
+    let v_dp = sample_nearest(&solver, &dp_state.v, &pts);
+    let u_dal = sample_nearest(&solver, &dal_state.u, &pts);
+    let v_dal = sample_nearest(&solver, &dal_state.v, &pts);
     let (u_pinn, v_pinn, _) = pinn.fields_at(&pts);
     let rows: Vec<Vec<f64>> = (0..pts.len())
         .map(|k| {
@@ -130,7 +137,7 @@ fn main() {
         v: pv,
         p: pp,
     };
-    let (mom_dp, div_dp) = first_principles_residual(&solver, &dp.state, &dp.control);
+    let (mom_dp, div_dp) = first_principles_residual(&solver, dp_state, &dp.control);
     let pinn_c = pinn.control_values(solver.inflow_y());
     let (mom_pinn, div_pinn) = first_principles_residual(&solver, &pinn_state, &pinn_c);
     println!("-- first principles (RBF residuals of each method's fields) --");

@@ -12,8 +12,7 @@
 //! CSV output lands in `results/`.
 
 use bench::{print_series, write_csv};
-use control::laplace::{run_ctx, GradMethod, LaplaceRunConfig};
-use control::RunCtx;
+use control::{execute_on, Problem, RunCtx, RunSpec, Strategy};
 use geometry::Point2;
 use linalg::DVec;
 use pde::{analytic, LaplaceControlProblem};
@@ -25,26 +24,21 @@ fn main() {
     println!("== fig 3 (Laplace control): nx = {nx}, iterations = {iterations} ==\n");
 
     let problem = LaplaceControlProblem::new(nx).expect("problem assembly");
-    let cfg = LaplaceRunConfig {
-        nx,
-        iterations,
-        lr: 1e-2, // Table 1
-        log_every: (iterations / 60).max(1),
-        ..Default::default()
+    let run = |strategy: Strategy, n: usize| {
+        let spec = RunSpec::laplace()
+            .nx(nx)
+            .strategy(strategy)
+            .iterations(n)
+            .lr(1e-2) // Table 1
+            .log_every((iterations / 60).max(1))
+            .build();
+        execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked())
+            .unwrap_or_else(|e| panic!("{} run: {e}", strategy.name()))
     };
 
-    let dp = run_ctx(&problem, &cfg, GradMethod::Dp, &RunCtx::unchecked()).expect("DP run");
-    let dal = run_ctx(&problem, &cfg, GradMethod::Dal, &RunCtx::unchecked()).expect("DAL run");
-    let fd = run_ctx(
-        &problem,
-        &LaplaceRunConfig {
-            iterations: iterations.min(100),
-            ..cfg.clone()
-        },
-        GradMethod::FiniteDiff,
-        &RunCtx::unchecked(),
-    )
-    .expect("FD run");
+    let dp = run(Strategy::Dp, iterations);
+    let dal = run(Strategy::Dal, iterations);
+    let fd = run(Strategy::FiniteDiff, iterations.min(100));
 
     // ---- fig 3b: convergence curves ----
     println!("-- fig 3b: J vs iteration --");

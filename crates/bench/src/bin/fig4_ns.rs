@@ -9,10 +9,9 @@
 //! (defaults 0.09, 80, 100, 3000).
 
 use bench::write_csv;
-use control::laplace::GradMethod;
-use control::ns::{initial_control, run_ctx, NsRunConfig};
+use control::ns::initial_control;
 use control::pinn_ns::{NsPinn, NsPinnConfig};
-use control::RunCtx;
+use control::{execute_on, Problem, RunCtx, RunSpec, Strategy};
 use geometry::generators::ChannelConfig;
 use pde::analytic::poiseuille;
 use pde::{NsConfig, NsSolver};
@@ -42,32 +41,24 @@ fn main() {
     );
 
     // DAL with k = 3 and DP with k = 10 refinements, per Table 2.
-    let dal = run_ctx(
-        &solver,
-        &NsRunConfig {
-            iterations,
-            refinements: 3,
-            lr: 1e-1, // Table 2
-            log_every: (iterations / 40).max(1),
-            initial_scale: 1.0,
-        },
-        GradMethod::Dal,
-        &RunCtx::unchecked(),
-    )
-    .expect("DAL run");
-    let dp = run_ctx(
-        &solver,
-        &NsRunConfig {
-            iterations,
-            refinements: 10,
-            lr: 1e-1,
-            log_every: (iterations / 40).max(1),
-            initial_scale: 1.0,
-        },
-        GradMethod::Dp,
-        &RunCtx::unchecked(),
-    )
-    .expect("DP run");
+    let run = |strategy: Strategy, refinements: usize| {
+        let spec = RunSpec::navier_stokes()
+            .resolution(h)
+            .reynolds(re)
+            .slot_velocity(solver.cfg().slot_velocity)
+            .strategy(strategy)
+            .iterations(iterations)
+            .refinements(refinements)
+            .lr(1e-1) // Table 2
+            .log_every((iterations / 40).max(1))
+            .build();
+        execute_on(Problem::NavierStokes(&solver), &spec, &RunCtx::unchecked())
+            .unwrap_or_else(|e| panic!("{} run: {e}", strategy.name()))
+    };
+    let dal = run(Strategy::Dal, 3);
+    let dp = run(Strategy::Dp, 10);
+    let dal_state = dal.ns_state.as_ref().expect("NS runs return their state");
+    let dp_state = dp.ns_state.as_ref().expect("NS runs return their state");
 
     // PINN with the two-step search reduced to the paper's winning ω* = 1.
     let mut pinn = NsPinn::new(NsPinnConfig {
@@ -145,8 +136,8 @@ fn main() {
     .expect("csv");
 
     // ---- fig 4d: outflow profiles ----
-    let (u_dp, v_dp) = solver.outflow_profile(&dp.state);
-    let (u_dal, v_dal) = solver.outflow_profile(&dal.state);
+    let (u_dp, v_dp) = solver.outflow_profile(dp_state);
+    let (u_dal, v_dal) = solver.outflow_profile(dal_state);
     let lx = solver.cfg().channel.lx;
     let out_pts: Vec<(f64, f64)> = solver.outflow_y().iter().map(|&y| (lx, y)).collect();
     let (u_pinn, v_pinn, _) = pinn.fields_at(&out_pts);

@@ -74,8 +74,7 @@
 //! `measure` / `verify`.
 
 use check::golden::GoldenSnapshot;
-use control::api::{BackendKind, ProblemSpec, RunCtx};
-use control::laplace::{self, GradMethod, LaplaceRunConfig};
+use control::api::{execute_on, BackendKind, Problem, ProblemSpec, RunCtx, RunSpec, Strategy};
 use control::ns::initial_control;
 use control::surrogate::{LaplaceSurrogate, SurrogateSpec};
 use control::OptimizerKind;
@@ -686,24 +685,30 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     // many times fewer outer iterations Newton-CG needs to reach (or beat)
     // Adam's final cost — the acceptance gate for the second-order
     // machinery, enforced both here and at `--verify` time.
-    let adam_cfg = LaplaceRunConfig {
-        nx: sz.laplace_nx,
-        iterations: 150,
-        lr: 1e-2,
-        log_every: 150,
-        optimizer: OptimizerKind::Adam,
-    };
-    let adam = laplace::run_ctx(&problem, &adam_cfg, GradMethod::Dal, &RunCtx::unchecked())
+    let adam_spec = RunSpec::laplace()
+        .nx(sz.laplace_nx)
+        .strategy(Strategy::Dal)
+        .iterations(150)
+        .lr(1e-2)
+        .log_every(150)
+        .build();
+    let adam = execute_on(Problem::Laplace(&problem), &adam_spec, &RunCtx::unchecked())
         .expect("adam dal run");
-    let newton_cfg = LaplaceRunConfig {
-        iterations: 20,
-        log_every: 1,
-        optimizer: OptimizerKind::NewtonCg,
-        ..adam_cfg.clone()
-    };
+    let newton_spec = RunSpec::laplace()
+        .nx(sz.laplace_nx)
+        .strategy(Strategy::Dal)
+        .optimizer(OptimizerKind::NewtonCg)
+        .iterations(20)
+        .lr(1e-2)
+        .log_every(1)
+        .build();
     let run_newton = || {
-        laplace::run_ctx(&problem, &newton_cfg, GradMethod::Dal, &RunCtx::unchecked())
-            .expect("newton-cg dal run")
+        execute_on(
+            Problem::Laplace(&problem),
+            &newton_spec,
+            &RunCtx::unchecked(),
+        )
+        .expect("newton-cg dal run")
     };
     snap = record(
         snap,
@@ -728,13 +733,13 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
             panic!(
                 "Newton-CG DAL never reached the Adam-DAL cost {:.3e} within {} iterations \
                  (got {:.3e})",
-                adam.report.final_cost, newton_cfg.iterations, newton.report.final_cost
+                adam.report.final_cost, newton_spec.iterations, newton.report.final_cost
             )
         });
-    let newton_vs_adam = adam_cfg.iterations as f64 / newton_iters as f64;
+    let newton_vs_adam = adam_spec.iterations as f64 / newton_iters as f64;
     println!(
         "{:>28}  {newton_vs_adam:.2}x  ({} vs {} iters to J = {:.3e})",
-        "newton vs adam iterations", newton_iters, adam_cfg.iterations, adam.report.final_cost
+        "newton vs adam iterations", newton_iters, adam_spec.iterations, adam.report.final_cost
     );
     assert!(
         newton_vs_adam >= 5.0,

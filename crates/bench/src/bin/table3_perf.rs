@@ -10,12 +10,10 @@
 //! Usage: `table3_perf [nx_laplace] [iters_laplace] [h_ns] [iters_ns] [pinn_epochs]`
 //! (defaults 32, 400, 0.12, 60, 4000).
 
-use control::laplace::{self, GradMethod, LaplaceRunConfig};
 use control::metrics::{peak_allocated_bytes, reset_peak, RunReport};
-use control::ns::{self, NsRunConfig};
 use control::pinn::{LaplacePinn, PinnConfig};
 use control::pinn_ns::{NsPinn, NsPinnConfig};
-use control::RunCtx;
+use control::{execute_on, Problem, RunCtx, RunSpec, Strategy};
 use geometry::generators::ChannelConfig;
 use pde::{LaplaceControlProblem, NsConfig, NsSolver};
 
@@ -55,17 +53,17 @@ fn main() {
     // ---------- Laplace ----------
     println!("running Laplace: DAL, DP, PINN ...");
     let problem = LaplaceControlProblem::new(nx).expect("laplace assembly");
-    let lcfg = LaplaceRunConfig {
-        nx,
-        iterations: laplace_iters,
-        lr: 1e-2,
-        log_every: 50,
-        ..Default::default()
-    };
-    for method in [GradMethod::Dal, GradMethod::Dp] {
+    for strategy in [Strategy::Dal, Strategy::Dp] {
         reset_peak();
-        let run =
-            laplace::run_ctx(&problem, &lcfg, method, &RunCtx::unchecked()).expect("laplace run");
+        let spec = RunSpec::laplace()
+            .nx(nx)
+            .strategy(strategy)
+            .iterations(laplace_iters)
+            .lr(1e-2)
+            .log_every(50)
+            .build();
+        let run = execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked())
+            .expect("laplace run");
         rows.push(report_to_row(
             &run.report,
             peak_allocated_bytes() as f64 / 1e6,
@@ -106,21 +104,20 @@ fn main() {
         ..Default::default()
     })
     .expect("ns assembly");
-    for (method, k) in [(GradMethod::Dal, 3usize), (GradMethod::Dp, 10)] {
+    for (strategy, k) in [(Strategy::Dal, 3usize), (Strategy::Dp, 10)] {
         reset_peak();
-        let run = ns::run_ctx(
-            &solver,
-            &NsRunConfig {
-                iterations: ns_iters,
-                refinements: k,
-                lr: 1e-1,
-                log_every: 10,
-                initial_scale: 1.0,
-            },
-            method,
-            &RunCtx::unchecked(),
-        )
-        .expect("ns run");
+        let spec = RunSpec::navier_stokes()
+            .resolution(h)
+            .reynolds(100.0)
+            .slot_velocity(solver.cfg().slot_velocity)
+            .strategy(strategy)
+            .iterations(ns_iters)
+            .refinements(k)
+            .lr(1e-1)
+            .log_every(10)
+            .build();
+        let run = execute_on(Problem::NavierStokes(&solver), &spec, &RunCtx::unchecked())
+            .expect("ns run");
         rows.push(report_to_row(
             &run.report,
             (peak_allocated_bytes().max(run.report.peak_bytes)) as f64 / 1e6,

@@ -30,7 +30,6 @@
 //! Every comparison emits its worst-offending component through
 //! [`meshfree_runtime::trace`] so a failing run points at the bad entry.
 
-use control::laplace::GradMethod;
 use control::surrogate::LaplaceSurrogate;
 use linalg::DVec;
 use meshfree_runtime::trace;
@@ -451,11 +450,6 @@ pub fn check_ns(
         ladder.ns_dal_vs_dp_cos
     );
     vec![dp_fd, dal_dp]
-}
-
-/// The gradient methods the harness exercises, in report order.
-pub fn methods() -> [GradMethod; 3] {
-    GradMethod::ALL
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //! * [`RunSpec`] declares one run — problem × [`Strategy`] × seed ×
 //!   hyperparameters — through a builder
 //!   (`RunSpec::laplace().strategy(Strategy::Dal).iterations(200).seed(7).build()`),
-//!   and [`execute`] dispatches it to the right driver.
+//!   and [`execute`] maps it to one [`ControlObjective`] (the PINN
+//!   trainers aside) and runs that through [`optimize_ctx`], the one
+//!   optimizer loop, so every strategy sees the same Adam schedule.
 //! * [`ControlError`] is the single error type every public `control` and
 //!   `driver` function returns (previously raw `LinalgError` leaked from
 //!   every signature).
@@ -20,7 +22,6 @@
 //!   that reports a cost and gradient runs under the same Adam loop via
 //!   [`optimize`].
 
-use crate::laplace::GradMethod;
 use crate::metrics::{ConvergenceHistory, RunReport, Timer};
 use crate::pinn::{LaplacePinn, PinnConfig};
 use crate::pinn_ns::{NsPinn, NsPinnConfig};
@@ -30,14 +31,15 @@ use linalg::{DVec, LinalgError};
 // Re-exported: the backend choice is part of the spec surface — campaign
 // grids sweep it next to strategy and seed without importing `linalg`.
 pub use linalg::BackendKind;
-use meshfree_runtime::{CancelToken, Rng64};
+use meshfree_runtime::{trace, CancelToken, Rng64};
 use opt::CurvatureOracle;
 // Re-exported: the optimizer choice is part of the spec surface — campaign
 // grids sweep it next to strategy and seed without importing `opt`.
 pub use opt::OptimizerKind;
 use pde::heat::HeatControlProblem;
+use pde::ns_adjoint::NsAdjoint;
 use pde::ns_dp::NsDp;
-use pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState};
+use pde::{LaplaceControlProblem, NsConfig, NsSolver, NsState, NsWorkspace};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -268,7 +270,7 @@ pub trait ControlObjective {
     /// an exact Hessian-vector product override this
     /// ([`LaplaceDpObjective`] does).
     fn hvp(&mut self, c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
-        let h = 1e-5 / (1.0 + v.norm_inf()).max(1.0);
+        let h = hvp_step(v);
         let mut cp = c.clone();
         cp.axpy(h, v);
         let mut cm = c.clone();
@@ -277,6 +279,20 @@ pub trait ControlObjective {
         let (_, gm) = self.cost_and_grad(&cm)?;
         Ok(DVec::from_fn(c.len(), |i| (gp[i] - gm[i]) / (2.0 * h)))
     }
+    /// The Hessian columns `H(c)·e_j`, `j = 0..n`, in order. The default
+    /// probes [`ControlObjective::hvp`] once per unit vector; objectives
+    /// that can batch the probes override it and must return exactly the
+    /// bits of that loop ([`LaplaceDalObjective`] does).
+    fn hessian(&mut self, c: &DVec) -> Result<Vec<DVec>, ControlError> {
+        let n = c.len();
+        (0..n).map(|j| self.hvp(c, &DVec::unit(n, j))).collect()
+    }
+}
+
+/// Step of the default central-difference [`ControlObjective::hvp`] along
+/// `v`.
+fn hvp_step(v: &DVec) -> f64 {
+    1e-5 / (1.0 + v.norm_inf()).max(1.0)
 }
 
 /// Adapter exposing a [`ControlObjective`] as the [`CurvatureOracle`] the
@@ -293,6 +309,12 @@ impl CurvatureOracle for ObjectiveOracle<'_> {
             .hvp(&self.x, v)
             .ok()
             .filter(|h| !h.has_non_finite())
+    }
+    fn hessian(&mut self, _n: usize) -> Option<Vec<DVec>> {
+        self.obj
+            .hessian(&self.x)
+            .ok()
+            .filter(|cols| cols.iter().all(|h| !h.has_non_finite()))
     }
     fn cost_at(&mut self, c: &DVec) -> Option<f64> {
         self.obj.cost(c).ok().filter(|j| j.is_finite())
@@ -379,7 +401,13 @@ pub fn optimize(
 }
 
 /// [`optimize`] under a supervision context (deadline / cancellation /
-/// divergence detection).
+/// divergence detection). This is the only control optimisation loop:
+/// every [`execute`] run but the PINN's goes through it. Each iteration
+/// emits one `control` solve event, labelled with the objective's name
+/// when that is a [`Strategy::name`] and `custom` otherwise, and the loop
+/// stops early once the control goes non-finite (DAL at high Re can blow
+/// up, the paper's fig. 4b); the final evaluation then reports that
+/// control's cost.
 pub fn optimize_ctx(
     obj: &mut dyn ControlObjective,
     opts: &OptimizeOpts,
@@ -389,13 +417,17 @@ pub fn optimize_ctx(
     let mut c = obj.initial_control();
     let mut optimizer = opts.optimizer.build(c.len(), opts.lr, opts.iterations);
     let second_order = optimizer.uses_curvature();
+    // Trace labels are static strings, so a dynamic name maps to "custom".
+    let label = Strategy::build(obj.name()).map_or("custom", |s| s.name());
     let mut history = ConvergenceHistory::default();
     for it in 0..opts.iterations {
         ctx.check_iteration(it, timer.elapsed_s())?;
         let (j, g) = obj.cost_and_grad(&c)?;
         ctx.check_cost(it, j)?;
+        let g_norm = g.norm_inf();
+        trace::solve_event("control", label, it, f64::NAN, j, g_norm);
         if it % opts.log_every == 0 || it + 1 == opts.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
+            history.push(it, j, g_norm, timer.elapsed_s());
         }
         if second_order {
             let mut oracle = ObjectiveOracle {
@@ -405,6 +437,9 @@ pub fn optimize_ctx(
             optimizer.step_with_curvature(&mut c, j, &g, &mut oracle);
         } else {
             optimizer.step(&mut c, &g);
+        }
+        if c.has_non_finite() {
+            break;
         }
     }
     let final_cost = obj.cost(&c)?;
@@ -442,7 +477,7 @@ impl ControlObjective for LaplaceDpObjective<'_> {
         Ok(self.0.cost_and_grad_dp(c)?)
     }
     fn name(&self) -> &str {
-        "laplace-dp"
+        "DP"
     }
     /// Exact closed-form HVP: one forward and one transpose solve on the
     /// cached factorization, no finite differencing. The objective is
@@ -454,9 +489,95 @@ impl ControlObjective for LaplaceDpObjective<'_> {
 
 /// Laplace problem (dense or sparse build) with DAL (continuous adjoint)
 /// gradients.
-pub struct LaplaceDalObjective<'p>(pub &'p LaplaceControlProblem);
+///
+/// Under a second-order optimizer the objective steps on the
+/// quadrature-weighted adjoint gradient `wᵢ·g(xᵢ)`: the discrete
+/// representation of the L² gradient, on the same scale as the discrete
+/// Hessian (the raw function-space gradient would overshoot a Newton step
+/// by `O(n_c)`). Its curvature is the default central difference of that
+/// same weighted gradient, exact here because the DAL gradient is affine
+/// in the control, so the Newton system solved is `J_dal p = −g_dal`,
+/// whose fixed point is the DAL stationary point. The DAL gradient's
+/// boundary components differ from the discrete gradient by Runge-zone
+/// discretisation error, which is why the exact DP Hessian would not do.
+pub struct LaplaceDalObjective<'p> {
+    problem: &'p LaplaceControlProblem,
+    weighted: bool,
+}
+
+impl<'p> LaplaceDalObjective<'p> {
+    /// The DAL objective for a run driven by `optimizer`: Adam steps on
+    /// the raw adjoint gradient (the paper's setting), the second-order
+    /// kinds on the weighted one.
+    pub fn new(problem: &'p LaplaceControlProblem, optimizer: OptimizerKind) -> Self {
+        LaplaceDalObjective {
+            problem,
+            weighted: optimizer.is_second_order(),
+        }
+    }
+
+    fn weigh(&self, g: DVec) -> DVec {
+        if !self.weighted {
+            return g;
+        }
+        let w = self.problem.quad_weights();
+        DVec::from_fn(g.len(), |i| w[i] * g[i])
+    }
+}
 
 impl ControlObjective for LaplaceDalObjective<'_> {
+    fn n_controls(&self) -> usize {
+        self.problem.n_controls()
+    }
+    fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
+        Ok(self.problem.cost(c)?)
+    }
+    fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
+        let (j, g) = self.problem.cost_and_grad_dal(c)?;
+        Ok((j, self.weigh(g)))
+    }
+    fn name(&self) -> &str {
+        "DAL"
+    }
+    /// The default probe loop in one batch: all `2·n_c` difference points
+    /// go through [`LaplaceControlProblem::cost_and_grad_dal_many`], one
+    /// blocked solve pass forward and one adjoint, and the columns equal
+    /// `n_c` separate [`ControlObjective::hvp`] probes bit for bit.
+    fn hessian(&mut self, c: &DVec) -> Result<Vec<DVec>, ControlError> {
+        let n = c.len();
+        let units: Vec<DVec> = (0..n).map(|j| DVec::unit(n, j)).collect();
+        let mut points = Vec::with_capacity(2 * n);
+        for e in &units {
+            let h = hvp_step(e);
+            for step in [h, -h] {
+                let mut x = c.clone();
+                x.axpy(step, e);
+                points.push(x);
+            }
+        }
+        let grads: Vec<DVec> = self
+            .problem
+            .cost_and_grad_dal_many(&points)?
+            .into_iter()
+            .map(|(_, g)| self.weigh(g))
+            .collect();
+        Ok(grads
+            .chunks(2)
+            .zip(&units)
+            .map(|(pair, e)| {
+                let h = hvp_step(e);
+                DVec::from_fn(n, |i| (pair[0][i] - pair[1][i]) / (2.0 * h))
+            })
+            .collect())
+    }
+}
+
+/// Laplace problem (dense or sparse build) with central finite-difference
+/// gradients (the paper's footnote-11 baseline) and the exact closed-form
+/// HVP as curvature.
+struct LaplaceFdObjective<'p>(&'p LaplaceControlProblem);
+
+impl ControlObjective for LaplaceFdObjective<'_> {
     fn n_controls(&self) -> usize {
         self.0.n_controls()
     }
@@ -464,10 +585,13 @@ impl ControlObjective for LaplaceDalObjective<'_> {
         Ok(self.0.cost(c)?)
     }
     fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        Ok(self.0.cost_and_grad_dal(c)?)
+        Ok(self.0.cost_and_grad_fd(c, 1e-6)?)
     }
     fn name(&self) -> &str {
-        "laplace-dal"
+        "FD"
+    }
+    fn hvp(&mut self, _c: &DVec, v: &DVec) -> Result<DVec, ControlError> {
+        Ok(self.0.hvp(v)?)
     }
 }
 
@@ -490,49 +614,90 @@ impl ControlObjective for HeatObjective<'_> {
     }
 }
 
-/// Navier–Stokes inflow control with DP gradients and a warm-started flow
-/// state.
-pub struct NsDpObjective<'s> {
-    dp: NsDp<'s>,
+/// Navier–Stokes inflow control (paper §3.2, Table 2) with DAL, DP or
+/// finite-difference gradients.
+///
+/// The flow state is warm-started across optimizer iterations, which is
+/// what makes small refinement counts (`k = 3` for DAL, `k = 10` for DP)
+/// meaningful: the forward solution tracks the slowly-moving control.
+/// Finite differences cold-start every perturbation (at least 8
+/// refinements) for a consistent `J(c)`. [`ControlObjective::cost`] is the
+/// converged warm-started solve (at least 12 refinements) that scores the
+/// final control; its state is the run's final flow field.
+struct NsObjective<'s> {
     solver: &'s NsSolver,
+    strategy: Strategy,
     refinements: usize,
+    initial_scale: f64,
+    dp: NsDp<'s>,
+    dal: NsAdjoint<'s>,
+    /// One (3N)² matrix + LU storage recycled across every Picard sweep
+    /// and adjoint solve of the run (see `pde::NsWorkspace`).
+    ws: NsWorkspace,
     state: Option<NsState>,
+    /// Largest tape a DP gradient recorded (bytes).
+    peak_tape: usize,
 }
 
-impl<'s> NsDpObjective<'s> {
-    /// Wraps a solver with `k` refinements per gradient evaluation.
-    pub fn new(solver: &'s NsSolver, refinements: usize) -> Self {
-        NsDpObjective {
-            dp: NsDp::new(solver),
+impl<'s> NsObjective<'s> {
+    fn new(
+        solver: &'s NsSolver,
+        strategy: Strategy,
+        refinements: usize,
+        initial_scale: f64,
+    ) -> Self {
+        NsObjective {
             solver,
+            strategy,
             refinements,
+            initial_scale,
+            dp: NsDp::new(solver),
+            dal: NsAdjoint::new(solver),
+            ws: solver.workspace(),
             state: None,
+            peak_tape: 0,
         }
     }
 }
 
-impl ControlObjective for NsDpObjective<'_> {
+impl ControlObjective for NsObjective<'_> {
     fn n_controls(&self) -> usize {
         self.solver.n_controls()
     }
     fn cost(&mut self, c: &DVec) -> Result<f64, ControlError> {
+        let k = self.refinements.max(12);
         let st = self
             .solver
-            .solve(c, self.refinements.max(12), self.state.take())?;
+            .solve_with(c, k, self.state.take(), &mut self.ws)?;
         let j = self.solver.cost(&st);
         self.state = Some(st);
         Ok(j)
     }
     fn cost_and_grad(&mut self, c: &DVec) -> Result<(f64, DVec), ControlError> {
-        let (j, g, _, st) = self.dp.run(c, self.refinements, self.state.as_ref())?;
-        self.state = Some(st);
-        Ok((j, g))
+        let k = self.refinements;
+        match self.strategy {
+            Strategy::Dal => {
+                let (j, g, st) =
+                    self.dal
+                        .cost_and_grad_with(c, k, self.state.take(), &mut self.ws)?;
+                self.state = Some(st);
+                Ok((j, g))
+            }
+            Strategy::FiniteDiff => Ok(self.dp.cost_and_grad_fd(c, k.max(8), 1e-6)?),
+            // DP (the PINN and NeuralOp never build this objective).
+            _ => {
+                let (j, g, stats, st) = self.dp.run(c, k, self.state.as_ref())?;
+                self.peak_tape = self.peak_tape.max(stats.tape_bytes);
+                self.state = Some(st);
+                Ok((j, g))
+            }
+        }
     }
     fn name(&self) -> &str {
-        "navier-stokes-dp"
+        self.strategy.name()
     }
     fn initial_control(&self) -> DVec {
-        crate::ns::initial_control(self.solver)
+        crate::ns::initial_control(self.solver).scaled(self.initial_scale)
     }
 }
 
@@ -611,9 +776,9 @@ pub enum Strategy {
     FiniteDiff,
     /// Physics-informed neural network with the two-step ω strategy.
     Pinn,
-    /// DeepONet surrogate: train/freeze the operator network once, then
-    /// optimize the control through the frozen net and audit the result
-    /// with one DP re-solve (see `control::surrogate`).
+    /// Amortized surrogate: fit the affine control-to-flux map once per
+    /// build, then optimize the control through the frozen fit and audit
+    /// the result with one DP re-solve (see `control::surrogate`).
     NeuralOp,
 }
 
@@ -627,8 +792,8 @@ impl Strategy {
         Strategy::NeuralOp,
     ];
 
-    /// Display name (matches the legacy `GradMethod::name` values; also
-    /// the token embedded in derived [`RunSpec::id`]s).
+    /// Display name (the report's `method` label; also the token embedded
+    /// in derived [`RunSpec::id`]s).
     pub fn name(&self) -> &'static str {
         match self {
             Strategy::Dal => "DAL",
@@ -644,18 +809,6 @@ impl Strategy {
     /// serve wire, campaign tooling) instead of ad-hoc string matches.
     pub fn build(name: &str) -> Option<Strategy> {
         Strategy::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// The gradient source for solver-in-the-loop strategies (`None` for
-    /// the PINN and the NeuralOp surrogate, which never call the solver
-    /// inside the optimization loop).
-    pub fn grad_method(&self) -> Option<GradMethod> {
-        match self {
-            Strategy::Dal => Some(GradMethod::Dal),
-            Strategy::Dp => Some(GradMethod::Dp),
-            Strategy::FiniteDiff => Some(GradMethod::FiniteDiff),
-            Strategy::Pinn | Strategy::NeuralOp => None,
-        }
     }
 }
 
@@ -815,9 +968,9 @@ impl RunSpec {
         }
     }
 
-    /// Builder for a Navier–Stokes run (defaults mirror
-    /// `NsRunConfig::default()`: `h = 0.15`, `Re = 50`, DP, 60 iterations,
-    /// `lr = 1e-1`).
+    /// Builder for a Navier–Stokes run (laptop-scale Table 2 defaults:
+    /// `h = 0.15`, `Re = 50`, slot velocity 0.3, DP with 5 refinements, 60
+    /// iterations, `lr = 1e-1`, the paper's parabolic initial control).
     pub fn navier_stokes() -> RunSpecBuilder {
         RunSpecBuilder {
             spec: RunSpec {
@@ -1282,7 +1435,7 @@ impl BuiltProblem {
         if spec.strategy == Strategy::NeuralOp {
             let p = self
                 .laplace()
-                .ok_or_else(|| mismatch("Laplace", &spec.problem))?;
+                .ok_or_else(|| mismatch(self.as_problem(), &spec.problem))?;
             let surrogate = self.surrogate_for(spec)?;
             return execute_laplace_neural_op(p, &surrogate, spec, ctx);
         }
@@ -1324,99 +1477,108 @@ pub fn execute_ctx(spec: &RunSpec, ctx: &RunCtx) -> Result<SpecRun, ControlError
 }
 
 /// Executes a spec against an already-built problem (which must match the
-/// spec's problem family).
+/// spec's problem family). Every strategy but the PINN maps to one
+/// [`ControlObjective`] and runs through [`optimize_ctx`].
 pub fn execute_on(
     problem: Problem<'_>,
     spec: &RunSpec,
     ctx: &RunCtx,
 ) -> Result<SpecRun, ControlError> {
     spec.validate()?;
-    match (problem, spec.strategy) {
-        (Problem::Laplace(p), Strategy::Pinn) => execute_laplace_pinn(p, spec, ctx),
-        (Problem::Laplace(p), Strategy::NeuralOp) => {
+    match (problem, &spec.problem) {
+        (Problem::Laplace(p), ProblemSpec::Laplace { .. }) => execute_laplace(p, spec, ctx),
+        (
+            Problem::NavierStokes(solver),
+            &ProblemSpec::NavierStokes {
+                refinements,
+                initial_scale,
+                ..
+            },
+        ) => {
+            if spec.strategy == Strategy::Pinn {
+                return execute_ns_pinn(solver, spec, ctx);
+            }
+            let _span = trace::span("ns_control_run");
+            let mut obj = NsObjective::new(solver, spec.strategy, refinements, initial_scale);
+            let (mut report, control) = optimize_ctx(&mut obj, &optimize_opts(spec), ctx)?;
+            report.peak_bytes = report.peak_bytes.max(obj.peak_tape);
+            Ok(spec_run(spec, report, control, obj.state))
+        }
+        (
+            Problem::Synthetic,
+            &ProblemSpec::Synthetic {
+                n_controls,
+                fail_attempts,
+            },
+        ) => {
+            let poisoned = ctx.attempt < fail_attempts;
+            let mut obj = SyntheticObjective::new(n_controls, spec.seed, poisoned);
+            let (report, control) = optimize_ctx(&mut obj, &optimize_opts(spec), ctx)?;
+            Ok(spec_run(spec, report, control, None))
+        }
+        _ => Err(mismatch(problem, &spec.problem)),
+    }
+}
+
+fn execute_laplace(
+    p: &LaplaceControlProblem,
+    spec: &RunSpec,
+    ctx: &RunCtx,
+) -> Result<SpecRun, ControlError> {
+    let mut obj: Box<dyn ControlObjective + '_> = match spec.strategy {
+        Strategy::Pinn => return execute_laplace_pinn(p, spec, ctx),
+        Strategy::NeuralOp => {
             // Uncached entry point: train a fresh surrogate for this run.
             // Callers holding a `BuiltProblem` should prefer
             // `BuiltProblem::execute`, which reuses trained surrogates.
             let cfg = spec.surrogate.clone().unwrap_or_default();
             let surrogate = LaplaceSurrogate::train(p, &cfg, spec.seed)?;
-            execute_laplace_neural_op(p, &surrogate, spec, ctx)
+            return execute_laplace_neural_op(p, &surrogate, spec, ctx);
         }
-        (Problem::Laplace(p), s) => {
-            let nx = match spec.problem {
-                ProblemSpec::Laplace { nx, .. } => nx,
-                _ => return Err(mismatch("Laplace", &spec.problem)),
-            };
-            let cfg = crate::laplace::LaplaceRunConfig {
-                nx,
-                iterations: spec.iterations,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                optimizer: spec.optimizer,
-            };
-            let method = s.grad_method().expect("PINN handled above");
-            let run = crate::laplace::run_ctx(p, &cfg, method, ctx)?;
-            Ok(SpecRun {
-                spec_id: spec.id(),
-                report: run.report,
-                control: run.control,
-                ns_state: None,
-            })
-        }
-        (Problem::NavierStokes(s), Strategy::Pinn) => execute_ns_pinn(s, spec, ctx),
-        (Problem::NavierStokes(solver), s) => {
-            let (refinements, initial_scale) = match spec.problem {
-                ProblemSpec::NavierStokes {
-                    refinements,
-                    initial_scale,
-                    ..
-                } => (refinements, initial_scale),
-                _ => return Err(mismatch("NavierStokes", &spec.problem)),
-            };
-            let cfg = crate::ns::NsRunConfig {
-                iterations: spec.iterations,
-                refinements,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                initial_scale,
-            };
-            let method = s.grad_method().expect("PINN handled above");
-            let run = crate::ns::run_ctx(solver, &cfg, method, ctx)?;
-            Ok(SpecRun {
-                spec_id: spec.id(),
-                report: run.report,
-                control: run.control,
-                ns_state: Some(run.state),
-            })
-        }
-        (Problem::Synthetic, _) => {
-            let (n, fail_attempts) = match spec.problem {
-                ProblemSpec::Synthetic {
-                    n_controls,
-                    fail_attempts,
-                } => (n_controls, fail_attempts),
-                _ => return Err(mismatch("Synthetic", &spec.problem)),
-            };
-            let mut obj = SyntheticObjective::new(n, spec.seed, ctx.attempt < fail_attempts);
-            let opts = OptimizeOpts {
-                iterations: spec.iterations,
-                lr: spec.lr,
-                log_every: spec.log_every,
-                optimizer: spec.optimizer,
-            };
-            let (mut report, control) = optimize_ctx(&mut obj, &opts, ctx)?;
-            report.problem = "synthetic".to_string();
-            report.method = spec.strategy.name().to_string();
-            Ok(SpecRun {
-                spec_id: spec.id(),
-                report,
-                control,
-                ns_state: None,
-            })
-        }
+        Strategy::Dal => Box::new(LaplaceDalObjective::new(p, spec.optimizer)),
+        Strategy::Dp => Box::new(LaplaceDpObjective(p)),
+        Strategy::FiniteDiff => Box::new(LaplaceFdObjective(p)),
+    };
+    let _span = trace::span("laplace_control_run");
+    let (report, control) = optimize_ctx(obj.as_mut(), &optimize_opts(spec), ctx)?;
+    Ok(spec_run(spec, report, control, None))
+}
+
+/// The loop options a spec selects.
+fn optimize_opts(spec: &RunSpec) -> OptimizeOpts {
+    OptimizeOpts {
+        iterations: spec.iterations,
+        lr: spec.lr,
+        log_every: spec.log_every,
+        optimizer: spec.optimizer,
     }
 }
 
-fn mismatch(expected: &str, got: &ProblemSpec) -> ControlError {
+/// Labels a finished run's report with the spec's problem and strategy,
+/// emits it to the trace (once per run) and wraps it.
+fn spec_run(
+    spec: &RunSpec,
+    mut report: RunReport,
+    control: DVec,
+    ns_state: Option<NsState>,
+) -> SpecRun {
+    report.problem = spec.problem.name().to_string();
+    report.method = spec.strategy.name().to_string();
+    report.emit_trace();
+    SpecRun {
+        spec_id: spec.id(),
+        report,
+        control,
+        ns_state,
+    }
+}
+
+fn mismatch(problem: Problem<'_>, got: &ProblemSpec) -> ControlError {
+    let expected = match problem {
+        Problem::Laplace(_) => "Laplace",
+        Problem::NavierStokes(_) => "NavierStokes",
+        Problem::Synthetic => "Synthetic",
+    };
     ControlError::BadConfig(format!(
         "problem instance is {expected} but the spec declares {}",
         got.name()
@@ -1452,13 +1614,7 @@ fn execute_laplace_neural_op(
 ) -> Result<SpecRun, ControlError> {
     let timer = Timer::start();
     let mut obj = SurrogateObjective::new(surrogate);
-    let opts = OptimizeOpts {
-        iterations: spec.iterations,
-        lr: spec.lr,
-        log_every: spec.log_every,
-        optimizer: spec.optimizer,
-    };
-    let (mut report, control) = optimize_ctx(&mut obj, &opts, ctx)?;
+    let (mut report, control) = optimize_ctx(&mut obj, &optimize_opts(spec), ctx)?;
     // Referee: re-solve the PDE with the surrogate's control — the
     // solver-side score, independent of how well the network fit.
     let audited = p.cost(&control)?;
@@ -1466,16 +1622,9 @@ fn execute_laplace_neural_op(
     report
         .history
         .push(spec.iterations, audited, 0.0, timer.elapsed_s());
-    report.problem = "laplace".to_string();
     report.final_cost = audited;
     report.wall_s = timer.elapsed_s();
-    report.emit_trace();
-    Ok(SpecRun {
-        spec_id: spec.id(),
-        report,
-        control,
-        ns_state: None,
-    })
+    Ok(spec_run(spec, report, control, None))
 }
 
 fn execute_laplace_pinn(
@@ -1505,21 +1654,15 @@ fn execute_laplace_pinn(
     ctx.check_cost(total, final_cost)?;
     history.push(total, final_cost, 0.0, timer.elapsed_s());
     let report = RunReport {
-        method: "PINN".to_string(),
-        problem: "laplace".to_string(),
+        method: String::new(),
+        problem: String::new(),
         iterations: total,
         final_cost,
         wall_s: timer.elapsed_s(),
         peak_bytes: crate::metrics::peak_allocated_bytes(),
         history,
     };
-    report.emit_trace();
-    Ok(SpecRun {
-        spec_id: spec.id(),
-        report,
-        control,
-        ns_state: None,
-    })
+    Ok(spec_run(spec, report, control, None))
 }
 
 /// Derives the NS-PINN config for a spec (geometry/physics come from the
@@ -1529,7 +1672,7 @@ fn ns_pinn_cfg(spec: &RunSpec, solver: &NsSolver) -> Result<NsPinnConfig, Contro
         ProblemSpec::NavierStokes {
             re, slot_velocity, ..
         } => (re, slot_velocity),
-        _ => return Err(mismatch("NavierStokes", &spec.problem)),
+        _ => return Err(mismatch(Problem::NavierStokes(solver), &spec.problem)),
     };
     let mut cfg = spec.ns_pinn.clone().unwrap_or_else(|| NsPinnConfig {
         hidden: vec![16, 16],
@@ -1579,21 +1722,15 @@ fn execute_ns_pinn(
     ctx.check_cost(total, final_cost)?;
     history.push(total, final_cost, 0.0, timer.elapsed_s());
     let report = RunReport {
-        method: "PINN".to_string(),
-        problem: "navier-stokes".to_string(),
+        method: String::new(),
+        problem: String::new(),
         iterations: total,
         final_cost,
         wall_s: timer.elapsed_s(),
         peak_bytes: crate::metrics::peak_allocated_bytes(),
         history,
     };
-    report.emit_trace();
-    Ok(SpecRun {
-        spec_id: spec.id(),
-        report,
-        control,
-        ns_state: Some(state),
-    })
+    Ok(spec_run(spec, report, control, Some(state)))
 }
 
 #[cfg(test)]
@@ -1612,19 +1749,8 @@ mod tests {
             ..Default::default()
         };
         let (rep_gen, c_gen) = optimize(&mut LaplaceDpObjective(&p), &opts).unwrap();
-        let spec = crate::laplace::run_ctx(
-            &p,
-            &crate::laplace::LaplaceRunConfig {
-                nx: 12,
-                iterations: 60,
-                lr: 1e-2,
-                log_every: 10,
-                ..Default::default()
-            },
-            crate::laplace::GradMethod::Dp,
-            &RunCtx::unchecked(),
-        )
-        .unwrap();
+        let spec = RunSpec::laplace().nx(12).iterations(60).build();
+        let spec = execute_on(Problem::Laplace(&p), &spec, &RunCtx::unchecked()).unwrap();
         assert!(
             (rep_gen.final_cost - spec.report.final_cost).abs()
                 < 1e-12 * (1.0 + spec.report.final_cost.abs()),
@@ -1638,6 +1764,24 @@ mod tests {
     }
 
     #[test]
+    fn dal_hessian_equals_the_default_probe_loop_bitwise() {
+        let p = LaplaceControlProblem::new(12).unwrap();
+        let n = p.n_controls();
+        let mut obj = LaplaceDalObjective::new(&p, OptimizerKind::NewtonCg);
+        let mut oracle = ObjectiveOracle {
+            obj: &mut obj,
+            x: DVec::from_fn(n, |i| 0.05 * (1.0 + i as f64).sin()),
+        };
+        let batched = oracle.hessian(n).unwrap();
+        let looped = opt::probe_hessian(&mut oracle, n).unwrap();
+        assert_eq!(batched.len(), n);
+        let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (j, (b, l)) in batched.iter().zip(&looped).enumerate() {
+            assert_eq!(bits(b), bits(l), "column {j}");
+        }
+    }
+
+    #[test]
     fn every_builtin_objective_descends() {
         let opts = OptimizeOpts::builder()
             .iterations(40)
@@ -1646,7 +1790,7 @@ mod tests {
             .build();
         // Laplace DAL.
         let lp = LaplaceControlProblem::new(10).unwrap();
-        let mut dal = LaplaceDalObjective(&lp);
+        let mut dal = LaplaceDalObjective::new(&lp, OptimizerKind::Adam);
         let j0 = dal.cost(&dal.initial_control()).unwrap();
         let (rep, _) = optimize(&mut dal, &opts).unwrap();
         assert!(rep.final_cost < j0, "DAL objective failed to descend");
@@ -1784,27 +1928,18 @@ mod tests {
 
     #[test]
     fn execute_laplace_matches_the_legacy_entry_point() {
+        // The legacy entry point: the generic `optimize` on a hand-built
+        // problem and objective. `execute` adds only the report labels.
         let spec = RunSpec::laplace().nx(12).iterations(60).build();
         let run = execute(&spec).unwrap();
         let p = LaplaceControlProblem::new(12).unwrap();
-        let legacy = crate::laplace::run_ctx(
-            &p,
-            &crate::laplace::LaplaceRunConfig {
-                nx: 12,
-                iterations: 60,
-                lr: 1e-2,
-                log_every: 10,
-                ..Default::default()
-            },
-            GradMethod::Dp,
-            &RunCtx::unchecked(),
-        )
-        .unwrap();
-        assert_eq!(run.report.final_cost, legacy.report.final_cost);
+        let opts = OptimizeOpts::builder().iterations(60).lr(1e-2).build();
+        let (legacy, control) = optimize(&mut LaplaceDpObjective(&p), &opts).unwrap();
+        assert_eq!(run.report.final_cost, legacy.final_cost);
         assert_eq!(run.report.method, "DP");
         assert_eq!(run.report.problem, "laplace");
         for i in 0..run.control.len() {
-            assert_eq!(run.control[i], legacy.control[i]);
+            assert_eq!(run.control[i], control[i]);
         }
     }
 

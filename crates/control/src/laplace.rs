@@ -1,265 +1,37 @@
-//! Laplace optimal-control drivers (paper §3.1, figs. 3a/3b, Table 1).
-//!
-//! All three gradient sources — DAL (hand-derived adjoint), DP (tape through
-//! the solver) and central finite differences — are driven by the *same*
-//! Adam loop with the paper's learning-rate schedule (Table 1: initial rate
-//! `1e-2`, ÷10 at 50 % and 75 %), starting from `c ≡ 0` ("initially set to
-//! identically 0").
-//!
-//! Beyond the paper, [`LaplaceRunConfig::optimizer`] swaps the update rule
-//! for Newton-CG or L-BFGS. Second-order DP/FD runs draw curvature from
-//! the exact closed-form Hessian-vector product
-//! ([`pde::LaplaceControlProblem::hvp`]). DAL runs step on the
-//! quadrature-weighted adjoint gradient `wᵢ·g(xᵢ)` — the discrete
-//! representation of the L² gradient, on the same scale as the discrete
-//! Hessian (the raw function-space gradient would overshoot a Newton step
-//! by `O(n_c)`) — and take curvature from that same adjoint field (see
-//! `LaplaceOracle`), keeping gradient and Hessian mutually consistent.
-
-use crate::api::{ControlError, RunCtx};
-use crate::metrics::{ConvergenceHistory, RunReport, Timer};
-use linalg::DVec;
-use meshfree_runtime::trace;
-use opt::{CurvatureOracle, OptimizerKind};
-use pde::LaplaceControlProblem;
-
-/// Which gradient feeds the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GradMethod {
-    /// Direct-adjoint looping (optimise-then-discretise).
-    Dal,
-    /// Differentiable programming (discretise-then-optimise).
-    Dp,
-    /// Central finite differences (the footnote-11 baseline).
-    FiniteDiff,
-}
-
-impl GradMethod {
-    /// All strategies, in the paper's comparison order (fig. 3 legend).
-    pub const ALL: [GradMethod; 3] = [GradMethod::Dal, GradMethod::Dp, GradMethod::FiniteDiff];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GradMethod::Dal => "DAL",
-            GradMethod::Dp => "DP",
-            GradMethod::FiniteDiff => "FD",
-        }
-    }
-}
-
-/// Run configuration (defaults are the laptop-scale version of Table 1).
-#[derive(Debug, Clone)]
-pub struct LaplaceRunConfig {
-    /// Grid resolution per side (paper: 100).
-    pub nx: usize,
-    /// Adam iterations (paper: 500).
-    pub iterations: usize,
-    /// Initial learning rate (Table 1: `1e-2` for DAL and DP).
-    pub lr: f64,
-    /// Record history every `log_every` iterations (plus the last).
-    pub log_every: usize,
-    /// Update rule: Adam (paper-faithful default) or a second-order method
-    /// fed by exact Hessian-vector products.
-    pub optimizer: OptimizerKind,
-}
-
-impl Default for LaplaceRunConfig {
-    fn default() -> Self {
-        LaplaceRunConfig {
-            nx: 24,
-            iterations: 300,
-            lr: 1e-2,
-            log_every: 10,
-            optimizer: OptimizerKind::Adam,
-        }
-    }
-}
-
-/// Outcome of a Laplace control run.
-pub struct LaplaceRun {
-    /// Summary + history.
-    pub report: RunReport,
-    /// The optimized control values at the top-wall nodes.
-    pub control: DVec,
-}
-
-/// The curvature oracle a second-order Laplace run hands its optimizer.
-/// Trial costs come from the plain forward solve; the HVP source matches
-/// the gradient the run steps on — Newton is only consistent when the
-/// curvature is the Jacobian of the *stepped* gradient:
-///
-/// * DP / FD runs step on the exact discrete gradient, so the oracle
-///   answers with the exact closed-form HVP
-///   ([`LaplaceControlProblem::hvp`]: one forward and one transpose
-///   solve).
-/// * DAL runs step on the quadrature-weighted adjoint gradient, whose
-///   boundary components differ from the discrete gradient by Runge-zone
-///   discretisation error (the gradcheck ladder only aligns them on the
-///   mid-wall window). The oracle differentiates that same weighted
-///   adjoint field by central differences — exact here, since the DAL
-///   gradient is affine in the control — so the Newton system solved is
-///   `J_dal p = −g_dal`, whose fixed point is the DAL stationary point.
-///
-/// Newton-CG asks for the whole `n_c × n_c` Hessian once per step
-/// ([`CurvatureOracle::hessian`]). For DAL the oracle answers it in one
-/// batch: all `2·n_c` difference points go through
-/// [`LaplaceControlProblem::cost_and_grad_dal_many`], one blocked solve
-/// pass forward and one adjoint, and the columns equal `n_c` separate
-/// [`CurvatureOracle::hvp`] probes bit for bit. DP keeps the default
-/// probe loop over its exact HVP.
-///
-/// Every query reuses the problem's cached factorization.
-struct LaplaceOracle<'a> {
-    problem: &'a LaplaceControlProblem,
-    method: GradMethod,
-    x: DVec,
-}
-
-impl LaplaceOracle<'_> {
-    /// DAL curvature along each direction: central differences, with
-    /// `h = 1e-5 / max(1 + ‖v‖∞, 1)`, of the weighted DAL gradient, every
-    /// difference point solved in one batch.
-    fn dal_hvps(&self, dirs: &[DVec]) -> Option<Vec<DVec>> {
-        let steps: Vec<f64> = dirs
-            .iter()
-            .map(|v| 1e-5 / (1.0 + v.norm_inf()).max(1.0))
-            .collect();
-        let mut points = Vec::with_capacity(2 * dirs.len());
-        for (v, &h) in dirs.iter().zip(&steps) {
-            for sign in [1.0, -1.0] {
-                let mut c = self.x.clone();
-                c.axpy(sign * h, v);
-                points.push(c);
-            }
-        }
-        let grads = self.problem.cost_and_grad_dal_many(&points).ok()?;
-        let w = self.problem.quad_weights();
-        grads
-            .chunks(2)
-            .zip(&steps)
-            .map(|(pair, &h)| {
-                let (gp, gm) = (&pair[0].1, &pair[1].1);
-                let hv = DVec::from_fn(gp.len(), |i| (w[i] * gp[i] - w[i] * gm[i]) / (2.0 * h));
-                (!hv.has_non_finite()).then_some(hv)
-            })
-            .collect()
-    }
-}
-
-impl CurvatureOracle for LaplaceOracle<'_> {
-    fn hvp(&mut self, v: &DVec) -> Option<DVec> {
-        match self.method {
-            GradMethod::Dal => self.dal_hvps(std::slice::from_ref(v))?.pop(),
-            GradMethod::Dp | GradMethod::FiniteDiff => {
-                let hv = self.problem.hvp(v).ok()?;
-                (!hv.has_non_finite()).then_some(hv)
-            }
-        }
-    }
-
-    fn hessian(&mut self, n: usize) -> Option<Vec<DVec>> {
-        match self.method {
-            GradMethod::Dal => {
-                let units: Vec<DVec> = (0..n).map(|j| DVec::unit(n, j)).collect();
-                self.dal_hvps(&units)
-            }
-            GradMethod::Dp | GradMethod::FiniteDiff => opt::probe_hessian(self, n),
-        }
-    }
-
-    fn cost_at(&mut self, c: &DVec) -> Option<f64> {
-        self.problem.cost(c).ok().filter(|j| j.is_finite())
-    }
-}
-
-/// Runs Adam on the Laplace control problem with the chosen gradient,
-/// under a supervision context (deadline / cancellation / divergence
-/// detection).
-pub fn run_ctx(
-    problem: &LaplaceControlProblem,
-    cfg: &LaplaceRunConfig,
-    method: GradMethod,
-    ctx: &RunCtx,
-) -> Result<LaplaceRun, ControlError> {
-    let _span = trace::span("laplace_control_run");
-    let timer = Timer::start();
-    let n = problem.n_controls();
-    let mut c = DVec::zeros(n);
-    let mut optimizer = cfg.optimizer.build(n, cfg.lr, cfg.iterations);
-    let second_order = optimizer.uses_curvature();
-    let mut oracle = LaplaceOracle {
-        problem,
-        method,
-        x: DVec::zeros(n),
-    };
-    let mut history = ConvergenceHistory::default();
-    let fd_h = 1e-6;
-    for it in 0..cfg.iterations {
-        ctx.check_iteration(it, timer.elapsed_s())?;
-        let (j, g) = match method {
-            GradMethod::Dal => {
-                let (j, g_dal) = problem.cost_and_grad_dal(&c)?;
-                if second_order {
-                    // Quadrature-weight the L² gradient so it lives on the
-                    // discrete Hessian's scale (see module docs).
-                    let w = problem.quad_weights();
-                    (j, DVec::from_fn(n, |i| w[i] * g_dal[i]))
-                } else {
-                    (j, g_dal)
-                }
-            }
-            GradMethod::Dp => problem.cost_and_grad_dp(&c)?,
-            GradMethod::FiniteDiff => problem.cost_and_grad_fd(&c, fd_h)?,
-        };
-        ctx.check_cost(it, j)?;
-        trace::solve_event("control", method.name(), it, f64::NAN, j, g.norm_inf());
-        if it % cfg.log_every == 0 || it + 1 == cfg.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
-        }
-        if second_order {
-            oracle.x.clone_from(&c);
-            optimizer.step_with_curvature(&mut c, j, &g, &mut oracle);
-        } else {
-            optimizer.step(&mut c, &g);
-        }
-    }
-    let final_cost = problem.cost(&c)?;
-    ctx.check_cost(cfg.iterations, final_cost)?;
-    history.push(cfg.iterations, final_cost, 0.0, timer.elapsed_s());
-    let report = RunReport {
-        method: method.name().to_string(),
-        problem: "laplace".to_string(),
-        iterations: cfg.iterations,
-        final_cost,
-        wall_s: timer.elapsed_s(),
-        peak_bytes: crate::metrics::peak_allocated_bytes(),
-        history,
-    };
-    report.emit_trace();
-    Ok(LaplaceRun { report, control: c })
-}
+//! End-to-end Laplace control runs (paper §3.1, figs. 3a/3b, Table 1)
+//! through [`crate::api::execute_on`]: DAL, DP and finite differences
+//! under Adam with the paper's schedule, and the second-order optimizers.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use pde::analytic;
+    use crate::api::{execute_on, OptimizerKind, Problem, RunCtx, RunSpec, SpecRun, Strategy};
+    use linalg::DVec;
+    use pde::{analytic, LaplaceControlProblem};
 
-    fn quick_cfg(iterations: usize) -> LaplaceRunConfig {
-        LaplaceRunConfig {
-            nx: 14,
-            iterations,
-            lr: 1e-2,
-            log_every: 5,
-            optimizer: OptimizerKind::Adam,
-        }
+    /// A Laplace run at Table 1's `lr = 1e-2`, history every 5 iterations.
+    fn quick_spec(strategy: Strategy, iterations: usize) -> RunSpec {
+        RunSpec::laplace()
+            .strategy(strategy)
+            .iterations(iterations)
+            .lr(1e-2)
+            .log_every(5)
+            .build()
+    }
+
+    fn run_on(p: &LaplaceControlProblem, spec: &RunSpec) -> SpecRun {
+        execute_on(Problem::Laplace(p), spec, &RunCtx::unchecked()).unwrap()
+    }
+
+    fn with_optimizer(mut spec: RunSpec, optimizer: OptimizerKind) -> RunSpec {
+        spec.optimizer = optimizer;
+        spec
     }
 
     #[test]
     fn dp_drives_cost_down_by_orders_of_magnitude() {
         let p = LaplaceControlProblem::new(14).unwrap();
         let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-        let run = run_ctx(&p, &quick_cfg(200), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let run = run_on(&p, &quick_spec(Strategy::Dp, 200));
         assert!(
             run.report.final_cost < 1e-3 * j0,
             "DP: J0 = {j0:.3e} -> {:.3e}",
@@ -272,9 +44,8 @@ mod tests {
         // Paper fig. 3b / Table 3: DP reaches a far lower cost than DAL at
         // the same iteration count (2.2e-9 vs 4.6e-3 at paper scale).
         let p = LaplaceControlProblem::new(14).unwrap();
-        let cfg = quick_cfg(150);
-        let dp = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let dal = run_ctx(&p, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let dp = run_on(&p, &quick_spec(Strategy::Dp, 150));
+        let dal = run_on(&p, &quick_spec(Strategy::Dal, 150));
         assert!(
             dp.report.final_cost < 0.5 * dal.report.final_cost,
             "DP {:.3e} not clearly below DAL {:.3e}",
@@ -291,9 +62,8 @@ mod tests {
         // FD approximates the same discrete gradient as DP; trajectories
         // should end at nearly the same cost.
         let p = LaplaceControlProblem::new(12).unwrap();
-        let cfg = quick_cfg(80);
-        let dp = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let fd = run_ctx(&p, &cfg, GradMethod::FiniteDiff, &RunCtx::unchecked()).unwrap();
+        let dp = run_on(&p, &quick_spec(Strategy::Dp, 80));
+        let fd = run_on(&p, &quick_spec(Strategy::FiniteDiff, 80));
         let ratio = fd.report.final_cost / dp.report.final_cost.max(1e-300);
         assert!(
             (0.2..5.0).contains(&ratio),
@@ -306,14 +76,13 @@ mod tests {
     #[test]
     fn dp_recovers_the_analytic_minimiser_shape() {
         let p = LaplaceControlProblem::new(16).unwrap();
-        let cfg = LaplaceRunConfig {
-            nx: 16,
-            iterations: 400,
-            lr: 1e-2,
-            log_every: 50,
-            optimizer: OptimizerKind::Adam,
-        };
-        let result = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let spec = RunSpec::laplace()
+            .nx(16)
+            .iterations(400)
+            .lr(1e-2)
+            .log_every(50)
+            .build();
+        let result = run_on(&p, &spec);
         // Compare mid-wall control values against the series minimiser
         // (endpoints are polluted by the Runge zone).
         let n = p.n_controls();
@@ -328,17 +97,12 @@ mod tests {
         assert!(rel < 0.25, "control shape error {rel:.3}");
     }
 
-    fn with_optimizer(mut cfg: LaplaceRunConfig, optimizer: OptimizerKind) -> LaplaceRunConfig {
-        cfg.optimizer = optimizer;
-        cfg
-    }
-
     #[test]
     fn newton_cg_dp_matches_adam_cost_in_far_fewer_iterations() {
         let p = LaplaceControlProblem::new(14).unwrap();
-        let adam = run_ctx(&p, &quick_cfg(200), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let cfg = with_optimizer(quick_cfg(10), OptimizerKind::NewtonCg);
-        let newton = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let adam = run_on(&p, &quick_spec(Strategy::Dp, 200));
+        let spec = with_optimizer(quick_spec(Strategy::Dp, 10), OptimizerKind::NewtonCg);
+        let newton = run_on(&p, &spec);
         assert!(
             newton.report.final_cost <= adam.report.final_cost,
             "Newton-CG at 10 iters ({:.3e}) should beat Adam at 200 ({:.3e})",
@@ -353,9 +117,9 @@ mod tests {
         // discrete curvature reaches the Adam-DAL cost floor in a handful
         // of outer iterations.
         let p = LaplaceControlProblem::new(14).unwrap();
-        let adam = run_ctx(&p, &quick_cfg(150), GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-        let cfg = with_optimizer(quick_cfg(10), OptimizerKind::NewtonCg);
-        let newton = run_ctx(&p, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let adam = run_on(&p, &quick_spec(Strategy::Dal, 150));
+        let spec = with_optimizer(quick_spec(Strategy::Dal, 10), OptimizerKind::NewtonCg);
+        let newton = run_on(&p, &spec);
         assert!(
             newton.report.final_cost <= adam.report.final_cost,
             "Newton-CG DAL at 10 iters ({:.3e}) vs Adam DAL at 150 ({:.3e})",
@@ -365,29 +129,11 @@ mod tests {
     }
 
     #[test]
-    fn dal_hessian_equals_the_default_probe_loop_bitwise() {
-        let p = LaplaceControlProblem::new(12).unwrap();
-        let n = p.n_controls();
-        let mut oracle = LaplaceOracle {
-            problem: &p,
-            method: GradMethod::Dal,
-            x: DVec::from_fn(n, |i| 0.05 * (1.0 + i as f64).sin()),
-        };
-        let batched = oracle.hessian(n).unwrap();
-        let looped = opt::probe_hessian(&mut oracle, n).unwrap();
-        assert_eq!(batched.len(), n);
-        let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (j, (b, l)) in batched.iter().zip(&looped).enumerate() {
-            assert_eq!(bits(b), bits(l), "column {j}");
-        }
-    }
-
-    #[test]
     fn lbfgs_dp_descends_orders_of_magnitude() {
         let p = LaplaceControlProblem::new(14).unwrap();
         let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-        let cfg = with_optimizer(quick_cfg(40), OptimizerKind::Lbfgs);
-        let run = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let spec = with_optimizer(quick_spec(Strategy::Dp, 40), OptimizerKind::Lbfgs);
+        let run = run_on(&p, &spec);
         assert!(
             run.report.final_cost < 1e-3 * j0,
             "L-BFGS: J0 = {j0:.3e} -> {:.3e}",
@@ -405,9 +151,9 @@ mod tests {
         // this test is meant to protect.
         let p = LaplaceControlProblem::new(12).unwrap();
         for kind in [OptimizerKind::NewtonCg, OptimizerKind::Lbfgs] {
-            let mut cfg = with_optimizer(quick_cfg(15), kind);
-            cfg.log_every = 1;
-            let run = run_ctx(&p, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+            let mut spec = with_optimizer(quick_spec(Strategy::Dp, 15), kind);
+            spec.log_every = 1;
+            let run = run_on(&p, &spec);
             let h = &run.report.history.entries;
             for pair in h.windows(2) {
                 assert!(
@@ -424,7 +170,7 @@ mod tests {
     #[test]
     fn history_is_recorded_and_monotone_enough() {
         let p = LaplaceControlProblem::new(12).unwrap();
-        let result = run_ctx(&p, &quick_cfg(60), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let result = run_on(&p, &quick_spec(Strategy::Dp, 60));
         let h = &result.report.history;
         assert!(h.entries.len() >= 10);
         // Final entries should be far below the first.

@@ -14,19 +14,22 @@
 //! histories) behind the Table 3 reproduction.
 //!
 //! Experiment configurations mirror the paper's Tables 1 and 2; every
-//! driver returns a [`metrics::RunReport`] with the full convergence
-//! history so the bench binaries can regenerate each figure.
+//! run returns a [`metrics::RunReport`] with the full convergence history
+//! so the bench binaries can regenerate each figure.
 //!
-//! Since the strategy-API redesign, [`api`] is the front door: declare a
-//! run with [`api::RunSpec`]'s builders
+//! [`api`] is the one entry point: declare a run with [`api::RunSpec`]'s
+//! builders
 //! (`RunSpec::laplace().strategy(Strategy::Dal).iterations(200).seed(7).build()`),
-//! execute it with [`api::execute`], and match on [`api::ControlError`] for
-//! failures. NeuralOp runs follow the train/freeze/optimize lifecycle in
+//! execute it with [`api::execute`] (or [`api::execute_on`] against a
+//! problem you built), and match on [`api::ControlError`] for failures.
+//! Every strategy but the PINN maps to one [`api::ControlObjective`] and
+//! runs through [`api::optimize_ctx`], the one optimizer loop, so DAL, DP,
+//! finite differences and the NeuralOp surrogate share the same Adam
+//! schedule. NeuralOp runs follow the train/freeze/optimize lifecycle in
 //! [`surrogate`] and end with a DP audit re-solve of the surrogate's final
 //! control.
 
 pub mod api;
-pub mod laplace;
 pub mod metrics;
 pub mod ns;
 pub mod pinn;
@@ -40,3 +43,7 @@ pub use api::{
 };
 pub use metrics::{ConvergenceHistory, RunReport};
 pub use surrogate::{LaplaceSurrogate, SurrogateObjective, SurrogateSpec};
+
+// End-to-end Laplace runs through `api::execute_on`.
+#[cfg(test)]
+mod laplace;

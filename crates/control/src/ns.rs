@@ -1,60 +1,12 @@
-//! Navier–Stokes optimal-control drivers (paper §3.2, fig. 4, Table 2).
+//! Navier–Stokes optimal control (paper §3.2, fig. 4, Table 2).
 //!
-//! The Adam loop (Table 2: initial rate `1e-1`, 350 iterations at paper
-//! scale) warm-starts the flow state across optimization iterations — this
-//! is what makes small refinement counts (`k = 3` for DAL, `k = 10` for DP)
-//! meaningful: the forward solution tracks the slowly-moving control.
-//! The initial guess for the inflow control is the parabolic profile
-//! `4y(L−y)/L²`, exactly as in the paper.
+//! Runs go through [`crate::api::execute_on`]: Adam (Table 2: initial rate
+//! `1e-1`, 350 iterations at paper scale) on a warm-started flow state,
+//! starting from the paper's parabolic inflow profile `4y(L−y)/L²`.
 
-use crate::api::{ControlError, RunCtx};
-use crate::laplace::GradMethod;
-use crate::metrics::{ConvergenceHistory, RunReport, Timer};
 use linalg::DVec;
-use meshfree_runtime::trace;
-use opt::{Adam, Optimizer, Schedule};
 use pde::analytic::poiseuille;
-use pde::ns_adjoint::NsAdjoint;
-use pde::ns_dp::NsDp;
-use pde::{NsSolver, NsState};
-
-/// Run configuration (defaults are the laptop-scale version of Table 2).
-#[derive(Debug, Clone)]
-pub struct NsRunConfig {
-    /// Adam iterations (paper: 350).
-    pub iterations: usize,
-    /// Refinements per gradient evaluation (paper: 3 for DAL, 10 for DP).
-    pub refinements: usize,
-    /// Initial learning rate (Table 2: `1e-1`).
-    pub lr: f64,
-    /// Record history every `log_every` iterations (plus the last).
-    pub log_every: usize,
-    /// Scale applied to the initial parabolic control (1 = the paper's
-    /// initial guess; < 1 starts from a deliberately poor control).
-    pub initial_scale: f64,
-}
-
-impl Default for NsRunConfig {
-    fn default() -> Self {
-        NsRunConfig {
-            iterations: 60,
-            refinements: 5,
-            lr: 1e-1,
-            log_every: 5,
-            initial_scale: 1.0,
-        }
-    }
-}
-
-/// Outcome of a Navier–Stokes control run.
-pub struct NsRun {
-    /// Summary + history.
-    pub report: RunReport,
-    /// Optimized inflow control at the inflow nodes (sorted by `y`).
-    pub control: DVec,
-    /// Final flow state.
-    pub state: NsState,
-}
+use pde::NsSolver;
 
 /// The paper's initial control: the parabolic profile.
 pub fn initial_control(solver: &NsSolver) -> DVec {
@@ -68,86 +20,10 @@ pub fn initial_control(solver: &NsSolver) -> DVec {
     )
 }
 
-/// Runs Adam on the Navier–Stokes control problem with the chosen
-/// gradient, under a supervision context (deadline / cancellation /
-/// divergence detection).
-pub fn run_ctx(
-    solver: &NsSolver,
-    cfg: &NsRunConfig,
-    method: GradMethod,
-    ctx: &RunCtx,
-) -> Result<NsRun, ControlError> {
-    let _span = trace::span("ns_control_run");
-    let timer = Timer::start();
-    let n = solver.n_controls();
-    let mut c = initial_control(solver).scaled(cfg.initial_scale);
-    let mut adam = Adam::new(n, Schedule::paper_decay(cfg.lr, cfg.iterations));
-    let mut history = ConvergenceHistory::default();
-    let mut state: Option<NsState> = None;
-    let dp = NsDp::new(solver);
-    let dal = NsAdjoint::new(solver);
-    // One (3N)² matrix + LU storage recycled across every Picard sweep and
-    // adjoint solve of the run (see `pde::NsWorkspace`).
-    let mut ws = solver.workspace();
-    let mut peak_tape = 0usize;
-    for it in 0..cfg.iterations {
-        ctx.check_iteration(it, timer.elapsed_s())?;
-        let (j, g) = match method {
-            GradMethod::Dp => {
-                let (j, g, stats, st) = dp.run(&c, cfg.refinements, state.as_ref())?;
-                peak_tape = peak_tape.max(stats.tape_bytes);
-                state = Some(st);
-                (j, g)
-            }
-            GradMethod::Dal => {
-                let (j, g, st) =
-                    dal.cost_and_grad_with(&c, cfg.refinements, state.take(), &mut ws)?;
-                state = Some(st);
-                (j, g)
-            }
-            GradMethod::FiniteDiff => {
-                // FD must use cold starts per perturbation for a consistent
-                // J(c); warm-start only the reference trajectory.
-                let (j, g) = dp.cost_and_grad_fd(&c, cfg.refinements.max(8), 1e-6)?;
-                (j, g)
-            }
-        };
-        ctx.check_cost(it, j)?;
-        trace::solve_event("control", method.name(), it, f64::NAN, j, g.norm_inf());
-        if it % cfg.log_every == 0 || it + 1 == cfg.iterations {
-            history.push(it, j, g.norm_inf(), timer.elapsed_s());
-        }
-        adam.step(&mut c, &g);
-        if c.has_non_finite() {
-            // DAL at high Re can blow up (the paper's fig. 4b); freeze here.
-            break;
-        }
-    }
-    // Evaluate the final control from a converged cold start.
-    let final_state = solver.solve_with(&c, cfg.refinements.max(12), state, &mut ws)?;
-    let final_cost = solver.cost(&final_state);
-    ctx.check_cost(cfg.iterations, final_cost)?;
-    history.push(cfg.iterations, final_cost, 0.0, timer.elapsed_s());
-    let report = RunReport {
-        method: method.name().to_string(),
-        problem: "navier-stokes".to_string(),
-        iterations: cfg.iterations,
-        final_cost,
-        wall_s: timer.elapsed_s(),
-        peak_bytes: peak_tape.max(crate::metrics::peak_allocated_bytes()),
-        history,
-    };
-    report.emit_trace();
-    Ok(NsRun {
-        report,
-        control: c,
-        state: final_state,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{execute_on, Problem, RunCtx, RunSpec, SpecRun, Strategy};
     use geometry::generators::ChannelConfig;
     use pde::NsConfig;
 
@@ -164,14 +40,19 @@ mod tests {
         .unwrap()
     }
 
-    fn quick() -> NsRunConfig {
-        NsRunConfig {
-            iterations: 25,
-            refinements: 4,
-            lr: 5e-2,
-            log_every: 5,
-            initial_scale: 1.0,
-        }
+    /// 25 Adam iterations at `lr = 5e-2`, 4 refinements per gradient.
+    fn quick(s: &NsSolver, strategy: Strategy, initial_scale: f64) -> SpecRun {
+        let spec = RunSpec::navier_stokes()
+            .resolution(0.15)
+            .reynolds(s.cfg().re)
+            .strategy(strategy)
+            .iterations(25)
+            .refinements(4)
+            .lr(5e-2)
+            .log_every(5)
+            .initial_scale(initial_scale)
+            .build();
+        execute_on(Problem::NavierStokes(s), &spec, &RunCtx::unchecked()).unwrap()
     }
 
     #[test]
@@ -180,7 +61,7 @@ mod tests {
         let c0 = initial_control(&s);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let result = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let result = quick(&s, Strategy::Dp, 1.0);
         assert!(
             result.report.final_cost < 0.6 * j0,
             "DP did not improve: {j0:.3e} -> {:.3e}",
@@ -197,11 +78,7 @@ mod tests {
         let c0 = initial_control(&s).scaled(0.3);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let cfg = NsRunConfig {
-            initial_scale: 0.3,
-            ..quick()
-        };
-        let result = run_ctx(&s, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let result = quick(&s, Strategy::Dal, 0.3);
         assert!(
             result.report.final_cost < 0.7 * j0,
             "DAL did not descend from a poor control: {j0:.3e} -> {:.3e}",
@@ -218,8 +95,8 @@ mod tests {
         let c0 = initial_control(&s);
         let st0 = s.solve(&c0, 12, None).unwrap();
         let j0 = s.cost(&st0);
-        let dal = run_ctx(&s, &quick(), GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-        let dp = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let dal = quick(&s, Strategy::Dal, 1.0);
+        let dp = quick(&s, Strategy::Dp, 1.0);
         assert!(dp.report.final_cost < j0, "DP failed to improve");
         assert!(
             dp.report.final_cost < dal.report.final_cost,
@@ -232,9 +109,8 @@ mod tests {
     #[test]
     fn dp_beats_dal_as_in_fig4b() {
         let s = solver(50.0);
-        let cfg = quick();
-        let dp = run_ctx(&s, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let dal = run_ctx(&s, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+        let dp = quick(&s, Strategy::Dp, 1.0);
+        let dal = quick(&s, Strategy::Dal, 1.0);
         assert!(
             dp.report.final_cost <= dal.report.final_cost * 1.01,
             "DP {:.3e} vs DAL {:.3e}",
@@ -246,8 +122,8 @@ mod tests {
     #[test]
     fn optimized_outflow_closer_to_parabola_than_uncontrolled() {
         let s = solver(50.0);
-        let result = run_ctx(&s, &quick(), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-        let (u_out, _) = s.outflow_profile(&result.state);
+        let result = quick(&s, Strategy::Dp, 1.0);
+        let (u_out, _) = s.outflow_profile(result.ns_state.as_ref().unwrap());
         let mut err_opt = 0.0f64;
         for (k, &y) in s.outflow_y().iter().enumerate() {
             err_opt = err_opt.max((u_out[k] - poiseuille(y, 1.0)).abs());

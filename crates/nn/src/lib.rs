@@ -3,33 +3,25 @@
 //! # meshfree-nn
 //!
 //! Neural networks on the tensor tape: the machinery behind the PINN
-//! strategy (paper §2.3) and the NeuralOp operator-learning surrogate.
+//! strategy (paper §2.3).
 //!
 //! The crate is organised around the [`Module`] trait — shared flat-vector
-//! parameter plumbing (storage, tape registration, gradient flattening)
-//! plus the generic deterministic Adam loop [`fit`] — with two concrete
-//! networks on top:
+//! parameter plumbing (storage, tape registration, gradient flattening) —
+//! with one concrete network on top:
 //!
 //! * [`Mlp`]: a fully connected network. [`Mlp::forward`] tapes the
 //!   weights (training mode); [`Mlp::forward_taylor`] additionally
 //!   propagates batched first and second *input* derivatives through every
 //!   layer (Taylor-mode forward differentiation built out of ordinary tape
 //!   ops), so a PINN's PDE residual is itself a tape node and one reverse
-//!   sweep yields exact `∇_θ` of the whole physics loss;
-//!   [`Mlp::forward_frozen`] inverts the roles — input taped, weights
-//!   constant — for differentiating a trained network with respect to its
-//!   input.
-//! * [`DeepONet`]: a branch/trunk operator network mapping a discretised
-//!   input function to outputs at query coordinates. [`DeepONet::freeze`]
-//!   bakes the trunk into a constant matrix on a fixed query grid,
-//!   producing a [`FrozenDeepONet`] whose control-space gradients flow
-//!   through the tape — the train/freeze/optimize lifecycle behind
-//!   `Strategy::NeuralOp`.
+//!   sweep yields exact `∇_θ` of the whole physics loss.
+//!
+//! The NeuralOp surrogate needs no network: the Laplace control-to-flux
+//! map is affine, so `control::surrogate` fits it exactly by least
+//! squares.
 
-pub mod deeponet;
 pub mod mlp;
 pub mod module;
 
-pub use deeponet::{DeepONet, DeepONetParams, FrozenDeepONet};
 pub use mlp::{Activation, Mlp, MlpParams, TaylorBatch};
-pub use module::{fit, FitReport, Module};
+pub use module::Module;

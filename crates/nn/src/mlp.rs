@@ -5,21 +5,10 @@ use autodiff::tensor::Tensor;
 use linalg::{DMat, DVec};
 use std::sync::Arc;
 
-// Weight initialisation draws from the std-only runtime generator by
-// default; the `rand` feature swaps in rand's StdRng for checkpoints that
-// must reproduce pre-runtime weight streams.
-#[cfg(not(feature = "rand"))]
 use meshfree_runtime::rng::Rng64;
-#[cfg(feature = "rand")]
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
-#[cfg(feature = "rand")]
-fn init_rng(seed: u64) -> impl FnMut(f64) -> f64 {
-    let mut rng = StdRng::seed_from_u64(seed);
-    move |scale| rng.gen_range(-scale..scale)
-}
-
-#[cfg(not(feature = "rand"))]
+/// Weight initialisation: uniform draws from the std-only runtime
+/// generator.
 fn init_rng(seed: u64) -> impl FnMut(f64) -> f64 {
     let mut rng = Rng64::seed_from_u64(seed);
     move |scale| rng.gen_range(-scale..scale)
@@ -236,44 +225,6 @@ impl Mlp {
             d: ads,
             dd: adds,
         }
-    }
-
-    /// Forward pass with the roles of [`Mlp::forward`] inverted: the
-    /// *input* `x` (`batch × in`) is a live tape variable and the weights
-    /// enter as constants, so one reverse sweep yields `∂out/∂x` — the
-    /// frozen-network mode behind the NeuralOp strategy, where a trained
-    /// surrogate is differentiated with respect to the control rather than
-    /// its parameters.
-    pub fn forward_frozen<'t>(&self, x: TVar<'t>) -> TVar<'t> {
-        assert_eq!(
-            x.shape().1,
-            self.layers[0],
-            "forward_frozen: wrong input width"
-        );
-        let batch = x.shape().0;
-        let n_layers = self.layers.len() - 1;
-        let mut a = x;
-        let mut off = 0;
-        for (l, w) in self.layers.windows(2).enumerate() {
-            let (nin, nout) = (w[0], w[1]);
-            let wmat = Arc::new(DMat::from_vec(
-                nin,
-                nout,
-                self.params.as_slice()[off..off + nin * nout].to_vec(),
-            ));
-            off += nin * nout;
-            let b = &self.params.as_slice()[off..off + nout];
-            off += nout;
-            // The bias broadcast is materialised as a constant (the taped
-            // `broadcast_add_row` takes a live bias variable, which the
-            // frozen path deliberately avoids).
-            let bmat = DMat::from_fn(batch, nout, |_, j| b[j]);
-            a = a.matmul_const_r(&wmat).add_const(&bmat);
-            if l + 1 < n_layers {
-                a = self.activate(a);
-            }
-        }
-        a
     }
 
     /// Plain `f64` forward pass without a tape (for evaluation and plots).
@@ -583,25 +534,6 @@ mod tests {
             }
             last
         }
-    }
-
-    #[test]
-    fn frozen_forward_matches_eval_and_fd_input_gradient() {
-        let m = tiny();
-        let x0 = vec![0.35, -0.15];
-        // Value parity with the tape-free eval.
-        let tape = Tape::new();
-        let xv = tape.var(DMat::from_rows(std::slice::from_ref(&x0)));
-        let y = m.forward_frozen(xv);
-        let y_plain = m.eval(&DMat::from_rows(std::slice::from_ref(&x0)));
-        assert!((y.value()[(0, 0)] - y_plain[(0, 0)]).abs() < 1e-13);
-        // Input gradient vs central FD of the tape-free eval.
-        let f = |x: &[f64]| m.eval(&DMat::from_rows(&[x.to_vec()]))[(0, 0)];
-        let fd = fd_gradient(|x| f(x), &x0, 1e-6);
-        let grads = tape.backward(y.sum());
-        let g = grads.wrt(xv);
-        let err = rel_error(g.as_slice(), &fd);
-        assert!(err < 1e-6, "frozen input gradient rel error {err:.3e}");
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! The [`Module`] trait: shared parameter plumbing for every network in
-//! this crate, plus a generic Adam training loop built on it.
+//! The [`Module`] trait: shared parameter plumbing for the networks in
+//! this crate.
 //!
 //! A module owns a flat `f64` parameter vector with a documented layout,
 //! knows how to register those parameters as tape leaves, and how to
 //! flatten a reverse sweep's gradients back into that layout. Everything
 //! else — the forward shape, how many inputs it takes — stays inherent to
-//! the concrete network ([`crate::Mlp`] is a single batched map,
-//! [`crate::DeepONet`] takes a branch input *and* a trunk query grid), so
-//! the trait captures exactly the surface a generic optimizer needs and
+//! the concrete network ([`crate::Mlp`] is a single batched map), so the
+//! trait captures exactly the surface a generic optimizer needs and
 //! nothing more.
 
-use autodiff::tape::{TGrads, TVar, Tape};
+use autodiff::tape::{TGrads, Tape};
 use linalg::DVec;
 
 /// Shared parameter plumbing: flat storage, tape registration, gradient
-/// flattening. Implemented by [`crate::Mlp`] and [`crate::DeepONet`].
+/// flattening. Implemented by [`crate::Mlp`].
 pub trait Module {
     /// Tape handles for one registration of the parameters (e.g.
     /// [`crate::MlpParams`]).
@@ -40,84 +39,10 @@ pub trait Module {
     fn grad_vector(&self, grads: &TGrads, handles: &Self::Params<'_>) -> DVec;
 }
 
-/// Final state of a [`fit`] run.
-#[derive(Debug, Clone)]
-pub struct FitReport {
-    /// Loss before the first step.
-    pub initial_loss: f64,
-    /// Loss recorded at the last epoch.
-    pub final_loss: f64,
-    /// Epochs performed.
-    pub epochs: usize,
-}
-
-/// Generic full-batch Adam loop over any [`Module`]: each epoch registers
-/// the parameters on a fresh tape, asks `loss` for a scalar tape node
-/// (the module is passed back in by shared reference so the closure can
-/// call its forward), runs one reverse sweep and takes one Adam step on
-/// the flat parameters.
-///
-/// The loop is deterministic (no shuffling, fixed Adam constants
-/// `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`), so a (module, loss, epochs, lr)
-/// quadruple always produces bitwise-identical parameters.
-pub fn fit<M, F>(module: &mut M, epochs: usize, lr: f64, mut loss: F) -> FitReport
-where
-    M: Module,
-    F: for<'t> FnMut(&M, &'t Tape, &M::Params<'t>) -> TVar<'t>,
-{
-    let n = module.n_params();
-    let (mut mom, mut vel) = (vec![0.0; n], vec![0.0; n]);
-    let mut initial_loss = f64::NAN;
-    let mut final_loss = f64::NAN;
-    for t in 1..=epochs {
-        let tape = Tape::new();
-        let p = module.params_on_tape(&tape);
-        let l = loss(module, &tape, &p);
-        final_loss = l.scalar_value();
-        if t == 1 {
-            initial_loss = final_loss;
-        }
-        let grads = tape.backward(l);
-        let g = module.grad_vector(&grads, &p);
-        let mut theta = module.params_flat();
-        for i in 0..n {
-            mom[i] = 0.9 * mom[i] + 0.1 * g[i];
-            vel[i] = 0.999 * vel[i] + 0.001 * g[i] * g[i];
-            let mh = mom[i] / (1.0 - 0.9f64.powi(t as i32));
-            let vh = vel[i] / (1.0 - 0.999f64.powi(t as i32));
-            theta[i] -= lr * mh / (vh.sqrt() + 1e-8);
-        }
-        module.set_params_flat(&theta);
-    }
-    FitReport {
-        initial_loss,
-        final_loss,
-        epochs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Activation, Mlp};
-    use linalg::DMat;
-
-    #[test]
-    fn fit_reduces_loss_on_a_regression_task() {
-        let mut m = Mlp::new(&[1, 8, 1], Activation::Tanh, 11);
-        let x = DMat::from_fn(16, 1, |i, _| i as f64 / 15.0);
-        let y = DMat::from_fn(16, 1, |i, _| (2.0 * i as f64 / 15.0).sin());
-        let neg_y = &y * -1.0;
-        let report = fit(&mut m, 300, 2e-2, |m, tape, p| {
-            m.forward(tape, p, &x).add_const(&neg_y).sq().mean()
-        });
-        assert!(
-            report.final_loss < 0.05 * report.initial_loss.max(1e-9),
-            "training stalled: {:.3e} -> {:.3e}",
-            report.initial_loss,
-            report.final_loss
-        );
-    }
 
     #[test]
     fn set_params_flat_round_trips() {
@@ -130,23 +55,6 @@ mod tests {
         let back = m.params_flat();
         for i in 0..flat.len() {
             assert_eq!(back[i], flat[i]);
-        }
-    }
-
-    #[test]
-    fn fit_is_deterministic() {
-        let run = || {
-            let mut m = Mlp::new(&[1, 6, 1], Activation::Tanh, 3);
-            let x = DMat::from_fn(8, 1, |i, _| i as f64 / 7.0);
-            let neg_y = &DMat::from_fn(8, 1, |i, _| i as f64 / 7.0 * 0.5) * -1.0;
-            fit(&mut m, 50, 1e-2, |m, tape, p| {
-                m.forward(tape, p, &x).add_const(&neg_y).sq().mean()
-            });
-            m.params_flat()
-        };
-        let (a, b) = (run(), run());
-        for i in 0..a.len() {
-            assert_eq!(a[i].to_bits(), b[i].to_bits(), "param {i}");
         }
     }
 }

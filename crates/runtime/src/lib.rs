@@ -6,8 +6,7 @@
 //! The modules mirror the external crates they replace:
 //!
 //! * [`par`] replaces rayon for the data-parallel kernels (dense matmul,
-//!   SpMV, collocation assembly, RBF-FD stencils). The optional
-//!   `accel-rayon` feature swaps the backend, not the API.
+//!   SpMV, collocation assembly, RBF-FD stencils).
 //! * [`rng`] replaces rand for seeded initialisation (Xavier weights,
 //!   scattered-node jitter, property-test inputs).
 //! * [`trace`] is the observability layer the paper's Table 3 numbers and

@@ -11,8 +11,7 @@
 //! The pool is deliberately simple — one job in flight, broadcast via an
 //! epoch counter, no work stealing. The kernels it serves (row-blocked
 //! matmul, per-row SpMV, per-node stencil solves) are uniform enough that
-//! chunk claiming balances them; anything fancier belongs behind the
-//! `accel-rayon` feature, which swaps this backend for rayon's scheduler.
+//! chunk claiming balances them.
 
 use std::cell::{Cell, RefCell};
 use std::mem::{ManuallyDrop, MaybeUninit};
@@ -395,10 +394,6 @@ impl<T> OutPtr<T> {
 impl ThreadPool {
     /// [`par_for`] on this pool.
     pub fn par_for<F: Fn(usize) + Sync>(&self, n: usize, f: F) {
-        #[cfg(feature = "accel-rayon")]
-        if !serial_forced() {
-            return rayon_backend::par_for(n, &f);
-        }
         if n == 0 {
             return;
         }
@@ -431,10 +426,6 @@ impl ThreadPool {
             let piece = unsafe { std::slice::from_raw_parts_mut(p.add(lo), hi - lo) };
             f(c, piece);
         };
-        #[cfg(feature = "accel-rayon")]
-        if !serial_forced() {
-            return rayon_backend::par_for(chunks, &run);
-        }
         self.run_job(chunks, &run);
     }
 
@@ -484,13 +475,6 @@ impl ThreadPool {
                 unsafe { (*ptr.get().add(i)).write(f(&mut w, i)) };
             }
         };
-        #[cfg(feature = "accel-rayon")]
-        if !serial_forced() {
-            rayon_backend::par_for(chunks, &run);
-            let mut out = ManuallyDrop::new(out);
-            // SAFETY: all n slots are initialised (every chunk ran).
-            return unsafe { Vec::from_raw_parts(out.as_mut_ptr() as *mut R, n, out.capacity()) };
-        }
         self.run_job(chunks, &run);
         // SAFETY: all n slots are initialised; MaybeUninit<R> and R share
         // layout.
@@ -501,26 +485,6 @@ impl ThreadPool {
 
 fn chunk_size(n: usize, threads: usize) -> usize {
     n.div_ceil((threads * CHUNKS_PER_THREAD).min(n).max(1))
-}
-
-#[cfg(feature = "accel-rayon")]
-mod rayon_backend {
-    //! rayon-scheduled backend: same chunk decomposition, rayon::scope for
-    //! execution, so results remain bit-identical with the std backend.
-
-    pub fn par_for(n: usize, f: &(dyn Fn(usize) + Sync)) {
-        let threads = rayon::current_num_threads().max(1);
-        let size = super::chunk_size(n, threads);
-        rayon::scope(|s| {
-            for lo in (0..n).step_by(size.max(1)) {
-                s.spawn(move |_| {
-                    for i in lo..(lo + size).min(n) {
-                        f(i);
-                    }
-                });
-            }
-        });
-    }
 }
 
 #[cfg(test)]

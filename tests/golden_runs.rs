@@ -15,11 +15,9 @@
 use std::path::PathBuf;
 
 use meshfree_oc::check::golden::{check_or_bless, GoldenPolicy, GoldenSnapshot};
-use meshfree_oc::control::laplace::{self, GradMethod, LaplaceRunConfig};
 use meshfree_oc::control::metrics::RunReport;
-use meshfree_oc::control::ns::{self, NsRunConfig};
 use meshfree_oc::control::pinn::{LaplacePinn, PinnConfig};
-use meshfree_oc::control::{OptimizerKind, RunCtx};
+use meshfree_oc::control::{execute_on, OptimizerKind, Problem, RunCtx, RunSpec, Strategy};
 use meshfree_oc::geometry::generators::ChannelConfig;
 use meshfree_oc::pde::{LaplaceControlProblem, NsConfig, NsSolver};
 
@@ -57,36 +55,42 @@ fn report_snapshot(name: &str, report: &RunReport, control: &[f64]) -> GoldenSna
 }
 
 fn laplace_golden_with(
-    method: GradMethod,
+    strategy: Strategy,
     optimizer: OptimizerKind,
     iterations: usize,
     name: &str,
 ) {
-    let cfg = LaplaceRunConfig {
-        nx: 12,
-        iterations,
-        lr: 1e-2,
-        log_every: 5,
-        optimizer,
-    };
-    let problem = LaplaceControlProblem::new(cfg.nx).unwrap();
-    let run = laplace::run_ctx(&problem, &cfg, method, &RunCtx::unchecked()).unwrap();
+    let spec = RunSpec::laplace()
+        .nx(12)
+        .strategy(strategy)
+        .optimizer(optimizer)
+        .iterations(iterations)
+        .lr(1e-2)
+        .log_every(5)
+        .build();
+    let problem = LaplaceControlProblem::new(12).unwrap();
+    let run = execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked()).unwrap();
     let snap = report_snapshot(name, &run.report, run.control.as_slice());
     check_or_bless(&golden_path(name), &snap, &policy()).unwrap();
 }
 
-fn laplace_golden(method: GradMethod, name: &str) {
-    laplace_golden_with(method, OptimizerKind::Adam, 30, name);
+fn laplace_golden(strategy: Strategy, name: &str) {
+    laplace_golden_with(strategy, OptimizerKind::Adam, 30, name);
 }
 
 #[test]
 fn fig3_laplace_dal_matches_golden() {
-    laplace_golden(GradMethod::Dal, "fig3_laplace_dal");
+    laplace_golden(Strategy::Dal, "fig3_laplace_dal");
 }
 
 #[test]
 fn fig3_laplace_dp_matches_golden() {
-    laplace_golden(GradMethod::Dp, "fig3_laplace_dp");
+    laplace_golden(Strategy::Dp, "fig3_laplace_dp");
+}
+
+#[test]
+fn fig3_laplace_fd_matches_golden() {
+    laplace_golden(Strategy::FiniteDiff, "fig3_laplace_fd");
 }
 
 #[test]
@@ -95,7 +99,7 @@ fn laplace_newton_cg_dal_matches_golden() {
     // its floor in a handful of iterations; the snapshot pins the whole
     // (deterministic) trajectory, not just the endpoint.
     laplace_golden_with(
-        GradMethod::Dal,
+        Strategy::Dal,
         OptimizerKind::NewtonCg,
         10,
         "laplace_newton_cg_dal",
@@ -110,7 +114,7 @@ fn laplace_newton_cg_dp_matches_golden() {
     // rounding noise. The snapshot pins that step's control, which every
     // Hessian column feeds.
     laplace_golden_with(
-        GradMethod::Dp,
+        Strategy::Dp,
         OptimizerKind::NewtonCg,
         1,
         "laplace_newton_cg_dp",
@@ -119,10 +123,10 @@ fn laplace_newton_cg_dp_matches_golden() {
 
 #[test]
 fn laplace_lbfgs_dp_matches_golden() {
-    laplace_golden_with(GradMethod::Dp, OptimizerKind::Lbfgs, 25, "laplace_lbfgs_dp");
+    laplace_golden_with(Strategy::Dp, OptimizerKind::Lbfgs, 25, "laplace_lbfgs_dp");
 }
 
-fn ns_golden(method: GradMethod, name: &str) {
+fn ns_golden(strategy: Strategy, name: &str) {
     let solver = NsSolver::new(NsConfig {
         channel: ChannelConfig {
             h: 0.18,
@@ -133,15 +137,19 @@ fn ns_golden(method: GradMethod, name: &str) {
         ..Default::default()
     })
     .unwrap();
-    let cfg = NsRunConfig {
-        iterations: 6,
-        refinements: 3,
-        lr: 5e-2,
-        log_every: 2,
-        initial_scale: 0.8,
-    };
-    let run = ns::run_ctx(&solver, &cfg, method, &RunCtx::unchecked()).unwrap();
-    let (u_out, _) = solver.outflow_profile(&run.state);
+    let spec = RunSpec::navier_stokes()
+        .resolution(0.18)
+        .reynolds(30.0)
+        .slot_velocity(0.2)
+        .strategy(strategy)
+        .iterations(6)
+        .refinements(3)
+        .lr(5e-2)
+        .log_every(2)
+        .initial_scale(0.8)
+        .build();
+    let run = execute_on(Problem::NavierStokes(&solver), &spec, &RunCtx::unchecked()).unwrap();
+    let (u_out, _) = solver.outflow_profile(run.ns_state.as_ref().unwrap());
     let snap = report_snapshot(name, &run.report, run.control.as_slice())
         .with_series("outflow_u", u_out.as_slice().to_vec());
     check_or_bless(&golden_path(name), &snap, &policy()).unwrap();
@@ -149,12 +157,12 @@ fn ns_golden(method: GradMethod, name: &str) {
 
 #[test]
 fn fig4_ns_dp_matches_golden() {
-    ns_golden(GradMethod::Dp, "fig4_ns_dp");
+    ns_golden(Strategy::Dp, "fig4_ns_dp");
 }
 
 #[test]
 fn fig4_ns_dal_matches_golden() {
-    ns_golden(GradMethod::Dal, "fig4_ns_dal");
+    ns_golden(Strategy::Dal, "fig4_ns_dal");
 }
 
 #[test]

@@ -7,8 +7,7 @@
 //! `cache_equivalence.rs` enforces for the first-order paths. Anything less
 //! would break golden-run replay and the campaign ledger's dedup-by-id.
 
-use meshfree_oc::control::laplace::{self, GradMethod, LaplaceRunConfig};
-use meshfree_oc::control::{OptimizerKind, RunCtx};
+use meshfree_oc::control::{execute_on, OptimizerKind, Problem, RunCtx, RunSpec, Strategy};
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::LaplaceControlProblem;
 use meshfree_oc::runtime::{with_pool, ThreadPool};
@@ -55,20 +54,19 @@ fn newton_cg_dal_run_is_pool_width_invariant() {
     // on adjoint-consistent HVPs, trust-region accept/reject — every
     // reduction fixed-order, so whole trajectories replay bitwise.
     let problem = LaplaceControlProblem::new(12).unwrap();
-    let cfg = LaplaceRunConfig {
-        nx: 12,
-        iterations: 8,
-        lr: 1e-2,
-        log_every: 1,
-        optimizer: OptimizerKind::NewtonCg,
-    };
-    let reference =
-        laplace::run_ctx(&problem, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+    let spec = RunSpec::laplace()
+        .nx(12)
+        .strategy(Strategy::Dal)
+        .optimizer(OptimizerKind::NewtonCg)
+        .iterations(8)
+        .lr(1e-2)
+        .log_every(1)
+        .build();
+    let run_once = || execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked()).unwrap();
+    let reference = run_once();
     for threads in POOL_SIZES {
         let pool = Arc::new(ThreadPool::new(threads));
-        let run = with_pool(&pool, || {
-            laplace::run_ctx(&problem, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap()
-        });
+        let run = with_pool(&pool, run_once);
         assert!(
             run.report.final_cost.to_bits() == reference.report.final_cost.to_bits(),
             "Newton-CG DAL final cost drifted at {threads} threads: {:e} vs {:e}",
@@ -100,19 +98,19 @@ fn newton_cg_dal_run_is_pool_width_invariant() {
 #[test]
 fn lbfgs_dp_run_is_pool_width_invariant() {
     let problem = LaplaceControlProblem::new(12).unwrap();
-    let cfg = LaplaceRunConfig {
-        nx: 12,
-        iterations: 12,
-        lr: 1e-2,
-        log_every: 1,
-        optimizer: OptimizerKind::Lbfgs,
-    };
-    let reference = laplace::run_ctx(&problem, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let spec = RunSpec::laplace()
+        .nx(12)
+        .strategy(Strategy::Dp)
+        .optimizer(OptimizerKind::Lbfgs)
+        .iterations(12)
+        .lr(1e-2)
+        .log_every(1)
+        .build();
+    let run_once = || execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked()).unwrap();
+    let reference = run_once();
     for threads in POOL_SIZES {
         let pool = Arc::new(ThreadPool::new(threads));
-        let run = with_pool(&pool, || {
-            laplace::run_ctx(&problem, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap()
-        });
+        let run = with_pool(&pool, run_once);
         assert!(
             run.report.final_cost.to_bits() == reference.report.final_cost.to_bits(),
             "L-BFGS DP final cost drifted at {threads} threads"

@@ -6,8 +6,7 @@
 //! test binary; the two tests share a lock so neither sees the other's
 //! sink.
 
-use meshfree_oc::control::laplace::{run_ctx, GradMethod, LaplaceRun, LaplaceRunConfig};
-use meshfree_oc::control::RunCtx;
+use meshfree_oc::control::{execute_on, Problem, RunCtx, RunSpec, SpecRun, Strategy};
 use meshfree_oc::opt::OptimizerKind;
 use meshfree_oc::pde::LaplaceControlProblem;
 use meshfree_oc::runtime::trace::{self, TraceEvent};
@@ -17,19 +16,20 @@ static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 const ITERATIONS: usize = 6;
 
-fn newton_dal_run(problem: &LaplaceControlProblem) -> LaplaceRun {
-    let cfg = LaplaceRunConfig {
-        nx: 12,
-        iterations: ITERATIONS,
-        lr: 1e-2,
-        log_every: 1,
-        optimizer: OptimizerKind::NewtonCg,
-    };
-    run_ctx(problem, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap()
+fn newton_dal_run(problem: &LaplaceControlProblem) -> SpecRun {
+    let spec = RunSpec::laplace()
+        .nx(12)
+        .strategy(Strategy::Dal)
+        .optimizer(OptimizerKind::NewtonCg)
+        .iterations(ITERATIONS)
+        .lr(1e-2)
+        .log_every(1)
+        .build();
+    execute_on(Problem::Laplace(problem), &spec, &RunCtx::unchecked()).unwrap()
 }
 
 /// Runs with a memory sink installed and returns the run and its events.
-fn traced_run(problem: &LaplaceControlProblem) -> (LaplaceRun, Vec<TraceEvent>) {
+fn traced_run(problem: &LaplaceControlProblem) -> (SpecRun, Vec<TraceEvent>) {
     let (sink, events) = trace::MemorySink::new();
     trace::set_sink(Box::new(sink));
     let run = newton_dal_run(problem);
@@ -90,9 +90,9 @@ fn tracing_newton_internals_leaves_the_run_bitwise_unchanged() {
         plain.report.final_cost.to_bits(),
         traced.report.final_cost.to_bits()
     );
-    let bits = |r: &LaplaceRun| r.control.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let bits = |r: &SpecRun| r.control.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&plain), bits(&traced));
-    let history = |r: &LaplaceRun| {
+    let history = |r: &SpecRun| {
         r.report
             .history
             .entries

@@ -1,8 +1,7 @@
 //! End-to-end integration: the full Laplace control pipeline across all
 //! crates — geometry → rbf → pde → autodiff → opt → control.
 
-use meshfree_oc::control::laplace::{run_ctx, GradMethod, LaplaceRunConfig};
-use meshfree_oc::control::RunCtx;
+use meshfree_oc::control::{execute_on, Problem, RunCtx, RunSpec, SpecRun, Strategy};
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::{analytic, LaplaceControlProblem};
 
@@ -10,22 +9,25 @@ fn problem() -> LaplaceControlProblem {
     LaplaceControlProblem::new(14).expect("assembly")
 }
 
-fn cfg(iterations: usize) -> LaplaceRunConfig {
-    LaplaceRunConfig {
-        nx: 14,
-        iterations,
-        lr: 1e-2,
-        log_every: 10,
-        ..Default::default()
-    }
+/// A Table 1 run (`lr = 1e-2`) of `strategy` on `p`, history every 10
+/// iterations.
+fn run(p: &LaplaceControlProblem, strategy: Strategy, iterations: usize) -> SpecRun {
+    let spec = RunSpec::laplace()
+        .nx(14)
+        .strategy(strategy)
+        .iterations(iterations)
+        .lr(1e-2)
+        .log_every(10)
+        .build();
+    execute_on(Problem::Laplace(p), &spec, &RunCtx::unchecked()).unwrap()
 }
 
 #[test]
 fn dp_reaches_deep_minimum_and_beats_dal_which_beats_zero() {
     let p = problem();
     let j0 = p.cost(&DVec::zeros(p.n_controls())).unwrap();
-    let dp = run_ctx(&p, &cfg(200), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-    let dal = run_ctx(&p, &cfg(200), GradMethod::Dal, &RunCtx::unchecked()).unwrap();
+    let dp = run(&p, Strategy::Dp, 200);
+    let dal = run(&p, Strategy::Dal, 200);
     // The paper's cost ordering at matched iteration counts.
     assert!(dp.report.final_cost < 1e-3 * j0, "DP failed to dive");
     assert!(dal.report.final_cost < j0, "DAL failed to descend");
@@ -75,19 +77,13 @@ fn all_three_gradient_sources_agree_at_the_start() {
 #[test]
 fn recovered_control_tracks_the_series_minimiser_mid_wall() {
     let p = LaplaceControlProblem::new(16).unwrap();
-    let result = run_ctx(
-        &p,
-        &LaplaceRunConfig {
-            nx: 16,
-            iterations: 300,
-            lr: 1e-2,
-            log_every: 50,
-            ..Default::default()
-        },
-        GradMethod::Dp,
-        &RunCtx::unchecked(),
-    )
-    .unwrap();
+    let spec = RunSpec::laplace()
+        .nx(16)
+        .iterations(300)
+        .lr(1e-2)
+        .log_every(50)
+        .build();
+    let result = execute_on(Problem::Laplace(&p), &spec, &RunCtx::unchecked()).unwrap();
     let n = p.n_controls();
     for i in n / 3..2 * n / 3 {
         let exact = analytic::series_c_star(p.control_x()[i]);
@@ -105,7 +101,7 @@ fn optimized_state_is_harmonic_and_matches_its_boundary_data() {
     // The *solver* guarantees these by construction; this test closes the
     // loop through the optimizer output.
     let p = problem();
-    let result = run_ctx(&p, &cfg(100), GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let result = run(&p, Strategy::Dp, 100);
     let coeffs = p.solve_coeffs(&result.control).unwrap();
     let nodal = p.nodal_values(&coeffs);
     let ns = p.ctx().nodes();
@@ -122,8 +118,8 @@ fn optimized_state_is_harmonic_and_matches_its_boundary_data() {
 #[test]
 fn histories_are_complete_and_costs_finite() {
     let p = problem();
-    for method in [GradMethod::Dal, GradMethod::Dp, GradMethod::FiniteDiff] {
-        let r = run_ctx(&p, &cfg(40), method, &RunCtx::unchecked()).unwrap();
+    for strategy in [Strategy::Dal, Strategy::Dp, Strategy::FiniteDiff] {
+        let r = run(&p, strategy, 40);
         assert!(r.report.final_cost.is_finite());
         assert!(!r.report.history.entries.is_empty());
         assert!(r.report.wall_s > 0.0);

@@ -1,9 +1,8 @@
 //! End-to-end integration: the Navier–Stokes control pipeline — channel
 //! cloud generation, coupled Picard solver, DP tape, DAL adjoint, drivers.
 
-use meshfree_oc::control::laplace::GradMethod;
-use meshfree_oc::control::ns::{initial_control, run_ctx, NsRunConfig};
-use meshfree_oc::control::RunCtx;
+use meshfree_oc::control::ns::initial_control;
+use meshfree_oc::control::{execute_on, Problem, RunCtx, RunSpec, SpecRun, Strategy};
 use meshfree_oc::geometry::generators::ChannelConfig;
 use meshfree_oc::pde::analytic::poiseuille;
 use meshfree_oc::pde::ns_dp::NsDp;
@@ -20,6 +19,30 @@ fn solver(re: f64, slots: f64) -> NsSolver {
         ..Default::default()
     })
     .expect("assembly")
+}
+
+/// An Adam run of `strategy` on `s` at `lr = 5e-2`, history every
+/// `log_every` iterations.
+fn run(
+    s: &NsSolver,
+    strategy: Strategy,
+    iterations: usize,
+    refinements: usize,
+    log_every: usize,
+    initial_scale: f64,
+) -> SpecRun {
+    let spec = RunSpec::navier_stokes()
+        .resolution(0.16)
+        .reynolds(s.cfg().re)
+        .slot_velocity(s.cfg().slot_velocity)
+        .strategy(strategy)
+        .iterations(iterations)
+        .refinements(refinements)
+        .lr(5e-2)
+        .log_every(log_every)
+        .initial_scale(initial_scale)
+        .build();
+    execute_on(Problem::NavierStokes(s), &spec, &RunCtx::unchecked()).unwrap()
 }
 
 #[test]
@@ -46,28 +69,17 @@ fn dp_optimization_reduces_cost_and_keeps_flow_divergence_free() {
     let s = solver(50.0, 0.3);
     let st0 = s.solve(&initial_control(&s), 10, None).unwrap();
     let j0 = s.cost(&st0);
-    let result = run_ctx(
-        &s,
-        &NsRunConfig {
-            iterations: 20,
-            refinements: 4,
-            lr: 5e-2,
-            log_every: 5,
-            initial_scale: 1.0,
-        },
-        GradMethod::Dp,
-        &RunCtx::unchecked(),
-    )
-    .unwrap();
+    let result = run(&s, Strategy::Dp, 20, 4, 5, 1.0);
     assert!(
         result.report.final_cost < j0,
         "no improvement: {j0:.3e} -> {:.3e}",
         result.report.final_cost
     );
-    assert!(s.divergence_norm(&result.state) < 1e-8);
+    let state = result.ns_state.as_ref().unwrap();
+    assert!(s.divergence_norm(state) < 1e-8);
     // Boundary conditions still hold on the optimized state.
     for (j, &i) in s.inflow_idx().iter().enumerate() {
-        assert!((result.state.u[i] - result.control[j]).abs() < 1e-9);
+        assert!((state.u[i] - result.control[j]).abs() < 1e-9);
     }
 }
 
@@ -75,18 +87,11 @@ fn dp_optimization_reduces_cost_and_keeps_flow_divergence_free() {
 fn higher_re_makes_the_control_problem_harder_for_dal() {
     // The paper's §3.2 narrative, in miniature: DAL's gap to DP widens
     // with Re (comparing final costs at matched budgets).
-    let cfg = NsRunConfig {
-        iterations: 15,
-        refinements: 4,
-        lr: 5e-2,
-        log_every: 5,
-        initial_scale: 0.5,
-    };
     let mut gaps = Vec::new();
     for re in [10.0, 100.0] {
         let s = solver(re, 0.25);
-        let dal = run_ctx(&s, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-        let dp = run_ctx(&s, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+        let dal = run(&s, Strategy::Dal, 15, 4, 5, 0.5);
+        let dp = run(&s, Strategy::Dp, 15, 4, 5, 0.5);
         gaps.push(dal.report.final_cost / dp.report.final_cost.max(1e-300));
     }
     assert!(
@@ -100,20 +105,8 @@ fn higher_re_makes_the_control_problem_harder_for_dal() {
 #[test]
 fn outflow_tracks_target_after_optimization() {
     let s = solver(50.0, 0.3);
-    let result = run_ctx(
-        &s,
-        &NsRunConfig {
-            iterations: 25,
-            refinements: 4,
-            lr: 5e-2,
-            log_every: 5,
-            initial_scale: 1.0,
-        },
-        GradMethod::Dp,
-        &RunCtx::unchecked(),
-    )
-    .unwrap();
-    let (u_out, v_out) = s.outflow_profile(&result.state);
+    let result = run(&s, Strategy::Dp, 25, 4, 5, 1.0);
+    let (u_out, v_out) = s.outflow_profile(result.ns_state.as_ref().unwrap());
     let mut worst: f64 = 0.0;
     for (k, &y) in s.outflow_y().iter().enumerate() {
         worst = worst.max((u_out[k] - poiseuille(y, 1.0)).abs());
@@ -148,15 +141,8 @@ fn picard_solve_is_deterministic_across_thread_counts() {
 #[test]
 fn warm_started_optimization_is_deterministic() {
     let s = solver(30.0, 0.2);
-    let cfg = NsRunConfig {
-        iterations: 8,
-        refinements: 3,
-        lr: 5e-2,
-        log_every: 2,
-        initial_scale: 1.0,
-    };
-    let a = run_ctx(&s, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
-    let b = run_ctx(&s, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let a = run(&s, Strategy::Dp, 8, 3, 2, 1.0);
+    let b = run(&s, Strategy::Dp, 8, 3, 2, 1.0);
     for i in 0..a.control.len() {
         assert_eq!(a.control[i], b.control[i], "nondeterminism at {i}");
     }

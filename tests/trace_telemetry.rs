@@ -9,8 +9,7 @@
 //! compiles to its own test binary, so nothing else can race it.
 
 use meshfree_oc::control::api::BackendKind;
-use meshfree_oc::control::laplace::{run_ctx, GradMethod, LaplaceRunConfig};
-use meshfree_oc::control::RunCtx;
+use meshfree_oc::control::{execute_on, Problem, RunCtx, RunSpec, Strategy};
 use meshfree_oc::geometry::generators::ChannelConfig;
 use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::{LaplaceControlProblem, NsConfig, NsSolver};
@@ -26,15 +25,19 @@ fn laplace_run_traces_all_three_layers() {
     // fig. 3b setup at test scale). Dense LU factorizations inside emit
     // `lu_factor` spans.
     let problem = LaplaceControlProblem::new(12).unwrap();
-    let cfg = LaplaceRunConfig {
-        nx: 12,
-        iterations: 40,
-        lr: 1e-2,
-        log_every: 10,
-        ..Default::default()
+    let (iterations, log_every) = (40, 10);
+    let run = |strategy: Strategy| {
+        let spec = RunSpec::laplace()
+            .nx(12)
+            .strategy(strategy)
+            .iterations(iterations)
+            .lr(1e-2)
+            .log_every(log_every)
+            .build();
+        execute_on(Problem::Laplace(&problem), &spec, &RunCtx::unchecked()).unwrap()
     };
-    let dal = run_ctx(&problem, &cfg, GradMethod::Dal, &RunCtx::unchecked()).unwrap();
-    let dp = run_ctx(&problem, &cfg, GradMethod::Dp, &RunCtx::unchecked()).unwrap();
+    let dal = run(Strategy::Dal);
+    let dp = run(Strategy::Dp);
     assert!(dal.report.final_cost.is_finite());
     assert!(dp.report.final_cost.is_finite());
 
@@ -127,8 +130,8 @@ fn laplace_run_traces_all_three_layers() {
             _ => None,
         })
         .collect();
-    assert_eq!(dp_costs.len(), cfg.iterations, "one DP event per iteration");
-    let sampled: Vec<f64> = dp_costs.iter().copied().step_by(cfg.log_every).collect();
+    assert_eq!(dp_costs.len(), iterations, "one DP event per iteration");
+    let sampled: Vec<f64> = dp_costs.iter().copied().step_by(log_every).collect();
     for w in sampled.windows(2) {
         assert!(
             w[1] <= w[0] * (1.0 + 1e-6) + 1e-300,
