@@ -8,7 +8,9 @@
 //!
 //! * forward: `x = A⁻¹ b`, caching the LU factorization of `A`;
 //! * backward: `s = A⁻ᵀ x̄` (one transpose-solve with the *cached* factors),
-//!   then `b̄ += s` and, when `A` is itself on the tape, `Ā += −s xᵀ`.
+//!   then `b̄ += s` and, when `A = A₀ + Σₖ diag(sₖ) Cₖ` depends on taped
+//!   scale columns, `s̄ₖ` from the `Ā = −s xᵀ` rule contracted row by row
+//!   against `Cₖ` — `Ā` itself is never formed.
 //!
 //! This mirrors the custom VJP JAX registers for `jnp.linalg.solve` and is
 //! why DP "produces the most accurate gradients" (paper §4): the reverse
@@ -16,9 +18,7 @@
 //! separately-discretised adjoint PDE to drift out of sync.
 
 use crate::tensor::{self, Tensor};
-use linalg::{
-    BackendKind, DMat, IterOpts, LinalgError, LinearBackend, Lu, SparseIterative, Triplets,
-};
+use linalg::{DMat, LinalgError, LinearBackend, Lu};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -84,11 +84,6 @@ enum Op {
     },
     /// Vertical concatenation of the parents.
     ConcatRows(Vec<usize>),
-    /// `diag(s) · C` with `C` constant and `s` a variable column.
-    RowScaleConst {
-        mat: Arc<Tensor>,
-        scale: usize,
-    },
     /// `X + 1·r` broadcasting a `1 × n` row over an `m × n` matrix.
     BroadcastAddRow(usize, usize),
     /// `x = A⁻¹ b` with a constant, pre-prepared `A` (dense LU factors or a
@@ -97,16 +92,10 @@ enum Op {
         be: Arc<dyn LinearBackend>,
         b: usize,
     },
-    /// `x = A⁻¹ b` with a variable `A` (prepared at record time).
-    Solve {
-        a: usize,
-        b: usize,
-        be: Arc<dyn LinearBackend>,
-    },
     /// `x = A⁻¹ b` where `A = A₀ + Σₖ diag(sₖ) Cₖ`: constant sparse
     /// structure matrices `Cₖ`, taped scale columns `sₖ`. The backward pass
-    /// accumulates `s̄ₖ = −s ∘ (Cₖ x)` — no dense `Ā` is ever formed, which
-    /// is what keeps sparse-backend DP truly sparse.
+    /// contracts `Ā = −s xᵀ` against each `Cₖ` over its stored entries —
+    /// no dense `Ā` is ever formed, on either backend.
     SolveScaled {
         b: usize,
         scales: Vec<usize>,
@@ -156,8 +145,8 @@ impl Tape {
     /// Approximate bytes held by node values and cached factorizations.
     ///
     /// This is the quantity behind the paper's Table 3 memory discussion: DP
-    /// memory grows with every recorded solve (each caches an `n²` LU),
-    /// super-linearly in the number of Navier–Stokes refinement steps `k`.
+    /// memory grows with every recorded solve (each caches an `n²` LU), so
+    /// linearly in the number of Navier–Stokes refinement steps `k`.
     pub fn memory_bytes(&self) -> usize {
         let nodes = self.nodes.borrow();
         // Shared backends (one Arc reused by many solves, e.g. a
@@ -168,27 +157,15 @@ impl Tape {
             .iter()
             .map(|n| {
                 let mut b = tensor::numel(&n.value) * 8;
-                match &n.op {
-                    Op::Solve { be, .. }
-                    | Op::SolveConst { be, .. }
-                    | Op::SolveScaled { be, .. } => {
-                        let p = Arc::as_ptr(be) as *const u8;
-                        if !seen.contains(&p) {
-                            seen.push(p);
-                            b += be.memory_bytes();
-                        }
-                        if let Op::SolveScaled { structs, .. } = &n.op {
-                            for c in structs {
-                                let p = Arc::as_ptr(c) as *const u8;
-                                if !seen.contains(&p) {
-                                    seen.push(p);
-                                    b += c.nnz() * (8 + std::mem::size_of::<usize>())
-                                        + (c.nrows() + 1) * std::mem::size_of::<usize>();
-                                }
-                            }
-                        }
+                // Constants captured by reference (structure matrices,
+                // `MulConst` tensors, …) belong to their owner and are not
+                // charged; a prepared backend is the solve's own state.
+                if let Op::SolveConst { be, .. } | Op::SolveScaled { be, .. } = &n.op {
+                    let p = Arc::as_ptr(be) as *const u8;
+                    if !seen.contains(&p) {
+                        seen.push(p);
+                        b += be.memory_bytes();
                     }
-                    _ => {}
                 }
                 b
             })
@@ -274,51 +251,6 @@ impl Tape {
         })
     }
 
-    /// Differentiable linear solve `x = A⁻¹ b` with `A` on the tape.
-    ///
-    /// Factors `A`'s current value (cached for the backward pass) — the
-    /// memory cost of DP through an iterative PDE solver comes from here.
-    pub fn solve<'t>(&'t self, a: TVar<'t>, b: TVar<'t>) -> Result<TVar<'t>, LinalgError> {
-        self.solve_with_kind(BackendKind::DenseLu, a, b)
-    }
-
-    /// [`Tape::solve`] with an explicit backend choice for the variable-`A`
-    /// system. `DenseLu` is the historical (bitwise-default) path; with
-    /// `SparseGmres` the recorded matrix value is sparsified (structural
-    /// zeros dropped) and both the forward solve and the reverse-sweep
-    /// transpose solve run GMRES+ILU0, reporting through the `"linsolve"`
-    /// trace layer. The `Ā = −s xᵀ` outer product in the backward pass is
-    /// dense either way — it is the adjoint of the *values*, not the solver.
-    pub fn solve_with_kind<'t>(
-        &'t self,
-        kind: BackendKind,
-        a: TVar<'t>,
-        b: TVar<'t>,
-    ) -> Result<TVar<'t>, LinalgError> {
-        let be = self.with_value(a.idx, |av| -> Result<Arc<dyn LinearBackend>, LinalgError> {
-            Ok(match kind {
-                BackendKind::DenseLu => Arc::new(Lu::factor(av)?),
-                BackendKind::SparseGmres => Arc::new(SparseIterative::gmres_ilu0(
-                    sparsify(av),
-                    taped_sparse_opts(),
-                )),
-            })
-        })?;
-        let bv = self.with_value(b.idx, tensor::to_dvec);
-        let x = be.solve(&bv)?;
-        Ok(TVar {
-            tape: self,
-            idx: self.push(
-                Op::Solve {
-                    a: a.idx,
-                    b: b.idx,
-                    be,
-                },
-                tensor::from_dvec(&x),
-            ),
-        })
-    }
-
     /// Differentiable linear solve `x = A⁻¹ b` through a **sparsely
     /// assembled** variable matrix `A = A₀ + Σₖ diag(sₖ) Cₖ`.
     ///
@@ -330,11 +262,15 @@ impl Tape {
     /// values of `scales`, and each `Cₖ` must have as many rows as `sₖ`.
     ///
     /// Backward: `s = A⁻ᵀ x̄` (one backend transpose-solve), `b̄ += s`, and
-    /// per scale `s̄ₖ = −s ∘ (Cₖ x)` — an exact rearrangement of the dense
-    /// `Ā = −s xᵀ` rule under the diagonal-scaling structure, at `O(nnz)`
-    /// cost and `O(n)` memory. This is what lets the Navier–Stokes DP
-    /// strategy ride `BackendKind::SparseGmres` without the `(3N)²` adjoint
-    /// outer product that [`Tape::solve_with_kind`] would record.
+    /// per scale `s̄ₖᵢ = Σⱼ (−sᵢ xⱼ)·Cₖᵢⱼ`, summed over row `i`'s stored
+    /// entries in column order. That is the dense `Ā = −s xᵀ` rule
+    /// contracted against `∂A/∂sₖᵢ = eᵢeᵢᵀCₖ` term for term — bitwise the
+    /// result of forming `Ā` and row-contracting it against a dense `Cₖ`
+    /// (skipped exact zeros add `±0` to a sum that starts at `+0`) — at
+    /// `O(nnz)` cost and `O(n)` memory. Every Navier–Stokes Picard sweep,
+    /// dense LU or sparse saddle GMRES, records exactly one such node, so
+    /// the tape keeps one prepared backend per sweep and no `(3N)²`
+    /// intermediate or adjoint.
     pub fn solve_scaled<'t>(
         &'t self,
         be: &Arc<dyn LinearBackend>,
@@ -370,35 +306,6 @@ impl Tape {
         })
     }
 
-    /// Differentiable linear solves sharing **one** factorization of a
-    /// variable matrix: `xᵢ = A⁻¹ bᵢ`. The Navier–Stokes momentum step uses
-    /// this — the `u` and `v` components share their system matrix and only
-    /// differ in boundary data, so factoring once halves the dominant cost.
-    pub fn solve_shared<'t>(
-        &'t self,
-        a: TVar<'t>,
-        bs: &[TVar<'t>],
-    ) -> Result<Vec<TVar<'t>>, LinalgError> {
-        let be: Arc<dyn LinearBackend> = Arc::new(self.with_value(a.idx, Lu::factor)?);
-        let mut out = Vec::with_capacity(bs.len());
-        for b in bs {
-            let bv = self.with_value(b.idx, tensor::to_dvec);
-            let x = be.solve(&bv)?;
-            out.push(TVar {
-                tape: self,
-                idx: self.push(
-                    Op::Solve {
-                        a: a.idx,
-                        b: b.idx,
-                        be: Arc::clone(&be),
-                    },
-                    tensor::from_dvec(&x),
-                ),
-            });
-        }
-        Ok(out)
-    }
-
     /// Vertically concatenates variables.
     pub fn concat_rows<'t>(&'t self, parts: &[TVar<'t>]) -> TVar<'t> {
         assert!(!parts.is_empty(), "concat_rows: empty input");
@@ -414,6 +321,10 @@ impl Tape {
     }
 
     /// Reverse sweep from a `1 × 1` output. Returns per-node adjoints.
+    ///
+    /// A node's parents always precede it, so the sweep splits the adjoint
+    /// list at node `i`: node `i`'s adjoint is read by reference while the
+    /// parents below it accumulate — no adjoint is copied just to be read.
     pub fn backward(&self, output: TVar<'_>) -> TGrads {
         let nodes = self.nodes.borrow();
         assert_eq!(
@@ -431,107 +342,111 @@ impl Tape {
                 slot @ None => *slot = Some(delta),
             }
         }
+        // Helper: `acc` of a borrowed tensor, copied only into an empty slot.
+        fn acc_ref(adj: &mut [Option<Tensor>], i: usize, delta: &Tensor) {
+            match &mut adj[i] {
+                Some(t) => t.axpy_mat(1.0, delta),
+                slot @ None => *slot = Some(delta.clone()),
+            }
+        }
 
         for i in (0..=output.idx).rev() {
-            let Some(g) = adj[i].clone() else { continue };
+            let (adj, here) = adj.split_at_mut(i);
+            let Some(g) = &here[0] else { continue };
             let node = &nodes[i];
             match &node.op {
                 Op::Leaf => {}
                 Op::Add(a, b) => {
-                    acc(&mut adj, *a, g.clone());
-                    acc(&mut adj, *b, g);
+                    acc_ref(adj, *a, g);
+                    acc_ref(adj, *b, g);
                 }
                 Op::Sub(a, b) => {
-                    acc(&mut adj, *a, g.clone());
-                    acc(&mut adj, *b, &g * -1.0);
+                    acc_ref(adj, *a, g);
+                    acc(adj, *b, g * -1.0);
                 }
                 Op::Mul(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, bv));
-                    acc(&mut adj, *b, tensor::ew_mul(&g, av));
+                    acc(adj, *a, tensor::ew_mul(g, bv));
+                    acc(adj, *b, tensor::ew_mul(g, av));
                 }
                 Op::Div(a, b) => {
                     let bv = &nodes[*b].value;
                     let y = &node.value;
-                    acc(&mut adj, *a, tensor::ew_div(&g, bv));
-                    let gb = tensor::ew_div(&tensor::ew_mul(&g, y), bv);
-                    acc(&mut adj, *b, &gb * -1.0);
+                    acc(adj, *a, tensor::ew_div(g, bv));
+                    let gb = tensor::ew_div(&tensor::ew_mul(g, y), bv);
+                    acc(adj, *b, &gb * -1.0);
                 }
-                Op::Neg(a) => acc(&mut adj, *a, &g * -1.0),
-                Op::Scale(a, c) => acc(&mut adj, *a, &g * *c),
-                Op::AddConst(a) => acc(&mut adj, *a, g),
-                Op::MulConst(a, c) => acc(&mut adj, *a, tensor::ew_mul(&g, c)),
+                Op::Neg(a) => acc(adj, *a, g * -1.0),
+                Op::Scale(a, c) => acc(adj, *a, g * *c),
+                Op::AddConst(a) => acc_ref(adj, *a, g),
+                Op::MulConst(a, c) => acc(adj, *a, tensor::ew_mul(g, c)),
                 Op::MatMul(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
-                    acc(&mut adj, *a, g.matmul(&bv.transpose()).unwrap());
-                    acc(&mut adj, *b, av.transpose().matmul(&g).unwrap());
+                    acc(adj, *a, g.matmul(&bv.transpose()).unwrap());
+                    acc(adj, *b, av.transpose().matmul(g).unwrap());
                 }
                 Op::MatMulConstL(c, b) => {
-                    acc(&mut adj, *b, c.transpose().matmul(&g).unwrap());
+                    acc(adj, *b, c.transpose().matmul(g).unwrap());
                 }
                 Op::MatMulConstR(a, c) => {
-                    acc(&mut adj, *a, g.matmul(&c.transpose()).unwrap());
+                    acc(adj, *a, g.matmul(&c.transpose()).unwrap());
                 }
-                Op::Transpose(a) => acc(&mut adj, *a, g.transpose()),
+                Op::Transpose(a) => acc(adj, *a, g.transpose()),
                 Op::Sum(a) => {
                     let (r, c) = nodes[*a].value.shape();
-                    acc(&mut adj, *a, DMat::from_fn(r, c, |_, _| g[(0, 0)]));
+                    acc(adj, *a, DMat::from_fn(r, c, |_, _| g[(0, 0)]));
                 }
                 Op::Mean(a) => {
                     let (r, c) = nodes[*a].value.shape();
                     let s = g[(0, 0)] / (r * c) as f64;
-                    acc(&mut adj, *a, DMat::from_fn(r, c, |_, _| s));
+                    acc(adj, *a, DMat::from_fn(r, c, |_, _| s));
                 }
                 Op::SumSq(a) => {
                     let av = &nodes[*a].value;
-                    acc(&mut adj, *a, av.map(|x| 2.0 * g[(0, 0)] * x));
+                    acc(adj, *a, av.map(|x| 2.0 * g[(0, 0)] * x));
                 }
                 Op::Dot(a, b) => {
                     let av = &nodes[*a].value;
                     let bv = &nodes[*b].value;
-                    acc(&mut adj, *a, bv * g[(0, 0)]);
-                    acc(&mut adj, *b, av * g[(0, 0)]);
+                    acc(adj, *a, bv * g[(0, 0)]);
+                    acc(adj, *b, av * g[(0, 0)]);
                 }
                 Op::DotConst(a, c) => {
-                    acc(&mut adj, *a, c.as_ref() * g[(0, 0)]);
+                    acc(adj, *a, c.as_ref() * g[(0, 0)]);
                 }
                 Op::Tanh(a) => {
                     let y = &node.value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, &y.map(|t| 1.0 - t * t)));
+                    acc(adj, *a, tensor::ew_mul(g, &y.map(|t| 1.0 - t * t)));
                 }
                 Op::Sin(a) => {
                     let av = &nodes[*a].value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, &av.map(f64::cos)));
+                    acc(adj, *a, tensor::ew_mul(g, &av.map(f64::cos)));
                 }
                 Op::Cos(a) => {
                     let av = &nodes[*a].value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, &av.map(|x| -x.sin())));
+                    acc(adj, *a, tensor::ew_mul(g, &av.map(|x| -x.sin())));
                 }
                 Op::Exp(a) => {
                     let y = &node.value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, y));
+                    acc(adj, *a, tensor::ew_mul(g, y));
                 }
                 Op::Sqrt(a) => {
                     let y = &node.value;
-                    acc(&mut adj, *a, tensor::ew_mul(&g, &y.map(|s| 0.5 / s)));
+                    acc(adj, *a, tensor::ew_mul(g, &y.map(|s| 0.5 / s)));
                 }
                 Op::Powi(a, n) => {
                     let av = &nodes[*a].value;
                     let nf = *n as f64;
-                    acc(
-                        &mut adj,
-                        *a,
-                        tensor::ew_mul(&g, &av.map(|x| nf * x.powi(n - 1))),
-                    );
+                    acc(adj, *a, tensor::ew_mul(g, &av.map(|x| nf * x.powi(n - 1))));
                 }
                 Op::SliceRows { parent, r0, rows } => {
                     let (pr, pc) = nodes[*parent].value.shape();
                     let mut d = DMat::zeros(pr, pc);
-                    d.set_block(*r0, 0, &g);
+                    d.set_block(*r0, 0, g);
                     let _ = rows;
-                    acc(&mut adj, *parent, d);
+                    acc(adj, *parent, d);
                 }
                 Op::Gather { parent, idx } => {
                     let (pr, pc) = nodes[*parent].value.shape();
@@ -541,54 +456,30 @@ impl Tape {
                             d[(pi, j)] += g[(gi, j)];
                         }
                     }
-                    acc(&mut adj, *parent, d);
+                    acc(adj, *parent, d);
                 }
                 Op::Scatter { parent, idx } => {
                     let pc = g.ncols();
                     let d = DMat::from_fn(idx.len(), pc, |k, j| g[(idx[k], j)]);
-                    acc(&mut adj, *parent, d);
+                    acc(adj, *parent, d);
                 }
                 Op::ConcatRows(parents) => {
                     let mut r0 = 0;
                     for &p in parents {
                         let (pr, pc) = nodes[p].value.shape();
-                        acc(&mut adj, p, g.block(r0, 0, pr, pc));
+                        acc(adj, p, g.block(r0, 0, pr, pc));
                         r0 += pr;
                     }
                 }
-                Op::RowScaleConst { mat, scale } => {
-                    // y = diag(s) C: s̄ᵢ = Σⱼ ḡᵢⱼ Cᵢⱼ.
-                    let n = nodes[*scale].value.nrows();
-                    let mut d = DMat::zeros(n, 1);
-                    for r in 0..n {
-                        let mut s = 0.0;
-                        for (gv, cv) in g.row(r).iter().zip(mat.row(r)) {
-                            s += gv * cv;
-                        }
-                        d[(r, 0)] = s;
-                    }
-                    acc(&mut adj, *scale, d);
-                }
                 Op::BroadcastAddRow(x, r) => {
-                    acc(&mut adj, *x, g.clone());
-                    acc(&mut adj, *r, tensor::sum_rows(&g));
+                    acc_ref(adj, *x, g);
+                    acc(adj, *r, tensor::sum_rows(g));
                 }
                 Op::SolveConst { be, b } => {
                     let gb = be
-                        .solve_transpose(&tensor::to_dvec(&g))
+                        .solve_transpose(&tensor::to_dvec(g))
                         .expect("solve_const backward");
-                    acc(&mut adj, *b, tensor::from_dvec(&gb));
-                }
-                Op::Solve { a, b, be } => {
-                    let s = be
-                        .solve_transpose(&tensor::to_dvec(&g))
-                        .expect("solve backward");
-                    let st = tensor::from_dvec(&s);
-                    acc(&mut adj, *b, st.clone());
-                    // Ā = −s xᵀ.
-                    let x = tensor::to_dvec(&node.value);
-                    let ga = DMat::from_fn(s.len(), x.len(), |i, j| -s[i] * x[j]);
-                    acc(&mut adj, *a, ga);
+                    acc(adj, *b, tensor::from_dvec(&gb));
                 }
                 Op::SolveScaled {
                     b,
@@ -597,43 +488,28 @@ impl Tape {
                     be,
                 } => {
                     let s = be
-                        .solve_transpose(&tensor::to_dvec(&g))
+                        .solve_transpose(&tensor::to_dvec(g))
                         .expect("solve_scaled backward");
-                    acc(&mut adj, *b, tensor::from_dvec(&s));
-                    // s̄ₖ = −s ∘ (Cₖ x): the dense Ā = −s xᵀ contracted
-                    // against ∂A/∂sₖᵢ = eᵢeᵢᵀCₖ — never materialised.
-                    let x = tensor::to_dvec(&node.value);
+                    acc(adj, *b, tensor::from_dvec(&s));
+                    // s̄ₖᵢ = Σⱼ Āᵢⱼ Cₖᵢⱼ with Āᵢⱼ = −sᵢxⱼ, over the stored
+                    // entries of Cₖ's row i — Ā is never materialised.
+                    let x = node.value.as_slice();
                     for (si, c) in scales.iter().zip(structs) {
-                        let cx = c.matvec(&x);
-                        let d = DMat::from_fn(cx.len(), 1, |i, _| -s[i] * cx[i]);
-                        acc(&mut adj, *si, d);
+                        let d = DMat::from_fn(c.nrows(), 1, |i, _| {
+                            let (cols, vals) = c.row(i);
+                            let mut sum = 0.0;
+                            for (&j, &cv) in cols.iter().zip(vals) {
+                                sum += -s[i] * x[j] * cv;
+                            }
+                            sum
+                        });
+                        acc(adj, *si, d);
                     }
                 }
             }
         }
         TGrads { adj }
     }
-}
-
-/// Converts a dense recorded matrix value into CSR, dropping exact zeros.
-/// Taped Picard matrices assemble dense (the recording substrate is dense
-/// tensors) but are structurally sparse when the discretisation is local.
-fn sparsify(a: &DMat) -> linalg::Csr {
-    let (rows, cols) = a.shape();
-    let mut t = Triplets::new(rows, cols);
-    for i in 0..rows {
-        for (j, &v) in a.row(i).iter().enumerate() {
-            t.push(i, j, v); // push skips exact zeros
-        }
-    }
-    t.to_csr()
-}
-
-/// GMRES options for taped sparse solves: tighter than the solver default
-/// because DP gradients chain several solves and the `check::golden`
-/// backend-equivalence budget is 1e-8 relative end to end.
-fn taped_sparse_opts() -> IterOpts {
-    IterOpts::gmres().max_iter(6000).tol(1e-12).restart(80)
 }
 
 /// Adjoints produced by [`Tape::backward`].
@@ -944,27 +820,6 @@ impl<'t> TVar<'t> {
         }
     }
 
-    /// `diag(self) · C` with `C` a constant matrix and `self` an `n × 1`
-    /// column. This is how state-dependent operators (e.g. the advection
-    /// term `u·∂x`) enter the differentiable assembly.
-    pub fn row_scale_const(self, c: &Arc<Tensor>) -> TVar<'t> {
-        let v = self.with_value(|s| {
-            assert_eq!(s.ncols(), 1, "row_scale_const: scale must be a column");
-            assert_eq!(s.nrows(), c.nrows(), "row_scale_const: row mismatch");
-            c.scale_rows(s.as_slice())
-        });
-        TVar {
-            tape: self.tape,
-            idx: self.tape.push(
-                Op::RowScaleConst {
-                    mat: Arc::clone(c),
-                    scale: self.idx,
-                },
-                v,
-            ),
-        }
-    }
-
     /// Adds a `1 × n` row variable to every row of this `m × n` variable.
     pub fn broadcast_add_row(self, r: TVar<'t>) -> TVar<'t> {
         let v = self.with_values(r, tensor::broadcast_add_row);
@@ -976,7 +831,7 @@ impl<'t> TVar<'t> {
 mod tests {
     use super::*;
     use crate::gradcheck::{fd_gradient, rel_error};
-    use linalg::DVec;
+    use linalg::{Csr, DVec, IterOpts, SparseIterative, Triplets};
 
     #[test]
     fn add_mul_grads() {
@@ -1153,24 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn row_scale_const_grad_matches_fd() {
-        let c = Arc::new(DMat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
-        let s0 = [0.5, -1.5];
-        let f = |s: &[f64]| {
-            let t = Tape::new();
-            let sv = t.var_col(s);
-            sv.row_scale_const(&c).sum_sq().scalar_value()
-        };
-        let fd = fd_gradient(f, &s0, 1e-6);
-        let t = Tape::new();
-        let sv = t.var_col(&s0);
-        let y = sv.row_scale_const(&c).sum_sq();
-        let g = t.backward(y);
-        let gs: Vec<f64> = g.wrt(sv).as_slice().to_vec();
-        assert!(rel_error(&gs, &fd) < 1e-6);
-    }
-
-    #[test]
     fn broadcast_add_row_grad() {
         let t = Tape::new();
         let x = t.var(DMat::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]));
@@ -1225,12 +1062,24 @@ mod tests {
         assert_eq!(g1, g2);
     }
 
-    #[test]
-    fn sparse_taped_solve_matches_dense_to_equivalence_tolerance() {
-        // Variable-A solve through both backends: a diagonally dominant
-        // tridiagonal system whose sparsified form GMRES+ILU0 nails.
-        let n = 24;
-        let a0 = DMat::from_fn(n, n, |i, j| {
+    /// `A₀ + diag(s)·C`, assembled densely.
+    fn assemble(a0: &DMat, s: &[f64], c: &DMat) -> DMat {
+        DMat::from_fn(a0.nrows(), a0.ncols(), |i, j| a0[(i, j)] + s[i] * c[(i, j)])
+    }
+
+    /// `c` as a CSR structure matrix (exact zeros dropped).
+    fn to_csr(c: &DMat) -> Arc<Csr> {
+        let mut t = Triplets::new(c.nrows(), c.ncols());
+        for i in 0..c.nrows() {
+            for (j, &v) in c.row(i).iter().enumerate() {
+                t.push(i, j, v);
+            }
+        }
+        Arc::new(t.to_csr())
+    }
+
+    fn tridiag(n: usize) -> DMat {
+        DMat::from_fn(n, n, |i, j| {
             if i == j {
                 4.0 + 0.1 * i as f64
             } else if i.abs_diff(j) == 1 {
@@ -1238,26 +1087,35 @@ mod tests {
             } else {
                 0.0
             }
-        });
-        let c = Arc::new(DMat::eye(n));
+        })
+    }
+
+    #[test]
+    fn sparse_taped_solve_matches_dense_to_equivalence_tolerance() {
+        // One scaled solve through both backends: a diagonally dominant
+        // tridiagonal system that GMRES+ILU0 nails.
+        let n = 24;
+        let a0 = tridiag(n);
+        let c = DMat::eye(n);
         let s0: Vec<f64> = (0..n).map(|i| 0.2 * (i as f64 * 0.5).sin()).collect();
         let b0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let run = |kind: BackendKind| {
+        let a = assemble(&a0, &s0, &c);
+        let run = |be: Arc<dyn LinearBackend>| {
             let t = Tape::new();
             let sv = t.var_col(&s0);
-            let a = sv.row_scale_const(&c).add_const(&a0);
             let b = t.var_col(&b0);
-            let x = t.solve_with_kind(kind, a, b).unwrap();
-            let j = x.sum_sq();
-            let g = t.backward(j);
+            let x = t.solve_scaled(&be, &[sv], &[to_csr(&c)], b).unwrap();
+            let g = t.backward(x.sum_sq());
             (
                 x.value().as_slice().to_vec(),
                 g.wrt(sv).as_slice().to_vec(),
                 g.wrt(b).as_slice().to_vec(),
             )
         };
-        let (xd, gsd, gbd) = run(BackendKind::DenseLu);
-        let (xs, gss, gbs) = run(BackendKind::SparseGmres);
+        let (xd, gsd, gbd) = run(Arc::new(Lu::factor(&a).unwrap()));
+        let opts = IterOpts::gmres().max_iter(6000).tol(1e-12).restart(80);
+        let csr_a = Arc::unwrap_or_clone(to_csr(&a));
+        let (xs, gss, gbs) = run(Arc::new(SparseIterative::gmres_ilu0(csr_a, opts)));
         assert!(rel_error(&xd, &xs) < 1e-8, "state mismatch");
         assert!(rel_error(&gsd, &gss) < 1e-8, "matrix-param grad mismatch");
         assert!(rel_error(&gbd, &gbs) < 1e-8, "rhs grad mismatch");
@@ -1265,21 +1123,12 @@ mod tests {
 
     #[test]
     fn solve_scaled_matches_dense_solve_values_and_gradients() {
-        // A(s) = A0 + diag(s) C through both recording styles: the dense
-        // Op::Solve (row_scale_const + add_const + solve) and the sparse
-        // Op::SolveScaled (prepared backend + structure matrix). Values and
-        // gradients must agree to solver precision.
+        // A(s) = A0 + diag(s) C with a sparse C: the taped scaled solve
+        // against the dense calculus done by hand — x = A⁻¹b, b̄ = A⁻ᵀx̄,
+        // s̄ = −b̄ ∘ (C x).
         let n = 24;
-        let a0 = DMat::from_fn(n, n, |i, j| {
-            if i == j {
-                4.0 + 0.1 * i as f64
-            } else if i.abs_diff(j) == 1 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
-        let c_dense = Arc::new(DMat::from_fn(n, n, |i, j| {
+        let a0 = tridiag(n);
+        let c = DMat::from_fn(n, n, |i, j| {
             if i == j {
                 1.0
             } else if j == (i + 1) % n {
@@ -1287,96 +1136,141 @@ mod tests {
             } else {
                 0.0
             }
-        }));
-        let c_sparse = {
-            let mut t = Triplets::new(n, n);
-            for i in 0..n {
-                for (j, &v) in c_dense.row(i).iter().enumerate() {
-                    t.push(i, j, v);
-                }
-            }
-            Arc::new(t.to_csr())
-        };
+        });
         let s0: Vec<f64> = (0..n).map(|i| 0.2 * (i as f64 * 0.5).sin()).collect();
         let b0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        // Dense reference.
+        let lu = Lu::factor(&assemble(&a0, &s0, &c)).unwrap();
+        let xd = lu.solve(&DVec(b0.clone())).unwrap();
+        let gbd = lu.solve_transpose(&xd.scaled(2.0)).unwrap();
+        let cx = c.matvec(&xd).unwrap();
+        let gsd: Vec<f64> = (0..n).map(|i| -gbd[i] * cx[i]).collect();
+
+        let be: Arc<dyn LinearBackend> = Arc::new(lu);
         let t = Tape::new();
         let sv = t.var_col(&s0);
-        let a = sv.row_scale_const(&c_dense).add_const(&a0);
         let b = t.var_col(&b0);
-        let x = t.solve(a, b).unwrap();
+        let x = t.solve_scaled(&be, &[sv], &[to_csr(&c)], b).unwrap();
         let g = t.backward(x.sum_sq());
-        let (xd, gsd, gbd) = (
-            x.value().as_slice().to_vec(),
-            g.wrt(sv).as_slice().to_vec(),
-            g.wrt(b).as_slice().to_vec(),
+        assert!(
+            rel_error(xd.as_slice(), x.value().as_slice()) < 1e-12,
+            "state"
         );
-        // Scaled-solve path: assemble A(s0) once, hand the tape the
-        // prepared backend plus the structure matrix.
-        let mut av = a0.clone();
-        for i in 0..n {
-            for (j, &v) in c_dense.row(i).iter().enumerate() {
-                av[(i, j)] += s0[i] * v;
-            }
-        }
-        let be: Arc<dyn LinearBackend> = Arc::new(Lu::factor(&av).unwrap());
-        let t = Tape::new();
-        let sv = t.var_col(&s0);
-        let b = t.var_col(&b0);
-        let x = t
-            .solve_scaled(&be, &[sv], &[Arc::clone(&c_sparse)], b)
-            .unwrap();
-        let g = t.backward(x.sum_sq());
-        assert!(rel_error(&xd, x.value().as_slice()) < 1e-12, "state");
         assert!(
             rel_error(&gsd, g.wrt(sv).as_slice()) < 1e-10,
             "scale gradient"
         );
-        assert!(rel_error(&gbd, g.wrt(b).as_slice()) < 1e-10, "rhs gradient");
-        // The tape charges the backend and the shared structure matrix.
-        assert!(t.memory_bytes() > 0);
+        assert!(
+            rel_error(gbd.as_slice(), g.wrt(b).as_slice()) < 1e-10,
+            "rhs gradient"
+        );
+        // The tape charges the prepared backend.
+        assert!(t.memory_bytes() >= n * n * 8);
+    }
+
+    #[test]
+    fn solve_scaled_backward_is_bitwise_the_dense_outer_product_contraction() {
+        // Two scale columns whose structure matrices are dense but for some
+        // exact zeros. The reference forms Ā = −s xᵀ and contracts every
+        // row against the dense Cₖ, all entries in column order; the tape
+        // must reproduce its bits.
+        let n = 7;
+        let a0 = DMat::from_fn(n, n, |i, j| {
+            if i == j {
+                6.0 + i as f64
+            } else {
+                0.3 * ((i * n + j) as f64).cos()
+            }
+        });
+        let cs: Vec<DMat> = (0..2)
+            .map(|k| {
+                DMat::from_fn(n, n, |i, j| {
+                    if (i + 2 * j + k) % 5 == 0 {
+                        0.0
+                    } else {
+                        ((1 + k + i * n + j) as f64).sin()
+                    }
+                })
+            })
+            .collect();
+        let s0: Vec<Vec<f64>> = (0..2)
+            .map(|k| (0..n).map(|i| 0.1 * ((i + 3 * k) as f64).cos()).collect())
+            .collect();
+        let b0: Vec<f64> = (0..n).map(|i| 1.0 - 0.2 * i as f64).collect();
+        let w: Vec<f64> = (0..n).map(|i| 0.5 + 0.1 * i as f64).collect();
+        let a = assemble(&assemble(&a0, &s0[0], &cs[0]), &s0[1], &cs[1]);
+        let lu = Arc::new(Lu::factor(&a).unwrap());
+
+        let x = lu.solve(&DVec(b0.clone())).unwrap();
+        let s = lu.solve_transpose(&DVec(w.clone())).unwrap();
+        let abar = DMat::from_fn(n, n, |i, j| -s[i] * x[j]);
+        let expect: Vec<Vec<u64>> = cs
+            .iter()
+            .map(|c| {
+                (0..n)
+                    .map(|i| {
+                        let mut sum = 0.0;
+                        for (av, cv) in abar.row(i).iter().zip(c.row(i)) {
+                            sum += av * cv;
+                        }
+                        f64::to_bits(sum)
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let be: Arc<dyn LinearBackend> = lu;
+        let t = Tape::new();
+        let svs: Vec<TVar<'_>> = s0.iter().map(|sk| t.var_col(sk)).collect();
+        let b = t.var_col(&b0);
+        let structs: Vec<Arc<Csr>> = cs.iter().map(to_csr).collect();
+        let xt = t.solve_scaled(&be, &svs, &structs, b).unwrap();
+        let g = t.backward(xt.dot_const(&tensor::col(&w)));
+        let bits = |v: &Tensor| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&xt.value()), bits(&tensor::from_dvec(&x)), "state");
+        assert_eq!(bits(&g.wrt(b)), bits(&tensor::from_dvec(&s)), "rhs adjoint");
+        for (k, sv) in svs.iter().enumerate() {
+            assert_eq!(bits(&g.wrt(*sv)), expect[k], "scale {k} adjoint");
+        }
     }
 
     #[test]
     fn solve_variable_matrix_grad_matches_fd() {
         // J(s) = ||A(s)^{-1} b||^2 with A(s) = A0 + diag(s) C.
         let a0 = DMat::from_rows(&[vec![5.0, 1.0], vec![1.0, 4.0]]);
-        let c = Arc::new(DMat::from_rows(&[vec![1.0, 0.5], vec![-0.5, 1.0]]));
+        let c = DMat::from_rows(&[vec![1.0, 0.5], vec![-0.5, 1.0]]);
         let b0 = [1.0, -2.0];
         let s0 = [0.3, -0.2];
-        let f = |s: &[f64]| {
+        // (J, dJ/ds) from one taped run.
+        let run = |s: &[f64]| {
+            let be: Arc<dyn LinearBackend> = Arc::new(Lu::factor(&assemble(&a0, s, &c)).unwrap());
             let t = Tape::new();
             let sv = t.var_col(s);
-            let a = sv.row_scale_const(&c).add_const(&a0);
             let b = t.var_col(&b0);
-            t.solve(a, b).unwrap().sum_sq().scalar_value()
+            let j = t
+                .solve_scaled(&be, &[sv], &[to_csr(&c)], b)
+                .unwrap()
+                .sum_sq();
+            let g = t.backward(j);
+            (j.scalar_value(), g.wrt(sv).as_slice().to_vec())
         };
-        let fd = fd_gradient(f, &s0, 1e-6);
-        let t = Tape::new();
-        let sv = t.var_col(&s0);
-        let a = sv.row_scale_const(&c).add_const(&a0);
-        let b = t.var_col(&b0);
-        let j = t.solve(a, b).unwrap().sum_sq();
-        let g = t.backward(j);
-        let gs: Vec<f64> = g.wrt(sv).as_slice().to_vec();
+        let fd = fd_gradient(|s| run(s).0, &s0, 1e-6);
+        let gs = run(&s0).1;
         assert!(rel_error(&gs, &fd) < 1e-5, "ad {gs:?} vs fd {fd:?}");
     }
 
     #[test]
     fn solve_grad_wrt_rhs_matches_fd() {
-        let a0 = DMat::from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0]]);
+        let lu = Arc::new(Lu::factor(&DMat::from_rows(&[vec![3.0, 1.0], vec![1.0, 2.0]])).unwrap());
         let b0 = [0.7, -0.4];
         let f = |b: &[f64]| {
             let t = Tape::new();
-            let av = t.var(a0.clone());
             let bv = t.var_col(b);
-            t.solve(av, bv).unwrap().sum_sq().scalar_value()
+            t.solve_const(&lu, bv).unwrap().sum_sq().scalar_value()
         };
         let fd = fd_gradient(f, &b0, 1e-6);
         let t = Tape::new();
-        let av = t.var(a0.clone());
         let bv = t.var_col(&b0);
-        let j = t.solve(av, bv).unwrap().sum_sq();
+        let j = t.solve_const(&lu, bv).unwrap().sum_sq();
         let g = t.backward(j);
         let gb: Vec<f64> = g.wrt(bv).as_slice().to_vec();
         assert!(rel_error(&gb, &fd) < 1e-6);
@@ -1437,15 +1331,17 @@ mod tests {
 
     #[test]
     fn memory_accounting_counts_solve_factors() {
-        let a = DMat::eye(8);
+        let lu = Arc::new(Lu::factor(&DMat::eye(8)).unwrap());
         let t = Tape::new();
         let before = t.memory_bytes();
         let b = t.var_col(&[1.0; 8]);
-        let av = t.var(a);
-        let _x = t.solve(av, b).unwrap();
+        let _x = t.solve_const(&lu, b).unwrap();
+        let _y = t.solve_const(&lu, b).unwrap();
         let after = t.memory_bytes();
-        // At least the 8x8 LU cache plus the node values.
+        // At least the 8x8 LU cache plus the node values; the factor both
+        // solves share is charged once.
         assert!(after - before >= 8 * 8 * 8);
+        assert!(after - before < 2 * 8 * 8 * 8);
     }
 
     #[test]

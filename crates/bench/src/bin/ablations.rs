@@ -4,8 +4,8 @@
 //!
 //! * `re` — DAL vs DP across Reynolds numbers (paper §3.2: DAL's failure
 //!   "is lessened with a reduced Re = 10").
-//! * `refinements` — DP tape memory/time vs refinement count `k` (Table 3
-//!   discussion: "scales super-linearly with k").
+//! * `refinements` — DP tape memory, heap peak and time vs refinement count
+//!   `k` (Table 3 discussion: "scales super-linearly with k").
 //! * `kernels` — Laplace DP final cost per RBF kernel (§3 opening).
 //! * `optimizer` — Adam vs plain SGD for DAL on Laplace (§3: Adam rescues
 //!   DAL's noisy boundary gradients).
@@ -14,6 +14,7 @@
 //!   central-difference oracle (footnote 11).
 
 use bench::write_csv;
+use control::metrics::{live_allocated_bytes, peak_allocated_bytes, reset_peak};
 use control::ns::initial_control;
 use control::{execute_on, ControlError, Problem, RunCtx, RunSpec, SpecRun, Strategy};
 use geometry::generators::{unit_square_scattered, ChannelConfig};
@@ -23,6 +24,11 @@ use opt::{Optimizer, Schedule, Sgd};
 use pde::ns_dp::NsDp;
 use pde::{LaplaceControlProblem, NsConfig, NsSolver};
 use rbf::{operators::fit_matrix, PolyBasis, RbfKernel};
+
+// Heap tracking for the `refinements` ablation's per-run peak: tape
+// accounting alone does not see transient buffers of the reverse sweep.
+#[global_allocator]
+static ALLOC: control::metrics::TrackingAllocator = control::metrics::TrackingAllocator;
 
 /// One unsupervised run at Table 1's `lr = 1e-2` on an already-built
 /// Laplace problem (the spec's `nx` only labels the run).
@@ -110,17 +116,22 @@ fn ablation_refinements() {
     .expect("solver");
     let dp = NsDp::new(&solver);
     let c = initial_control(&solver);
+    // Heap peak: the tracked high-water mark during one DP evaluation,
+    // above what was live before it (forward, tape and reverse sweep).
     println!(
-        "{:>4} {:>12} {:>14} {:>12}",
-        "k", "time (ms)", "tape (MB)", "tape nodes"
+        "{:>4} {:>12} {:>14} {:>14} {:>12}",
+        "k", "time (ms)", "tape (MB)", "heap peak (MB)", "tape nodes"
     );
     let mut rows = Vec::new();
     for k in [1usize, 2, 4, 8, 16] {
+        let live = live_allocated_bytes();
+        reset_peak();
         let t = std::time::Instant::now();
         let (_, _, stats) = dp.cost_and_grad(&c, k, None).expect("dp");
         let ms = t.elapsed().as_secs_f64() * 1e3;
+        let peak_mb = peak_allocated_bytes().saturating_sub(live) as f64 / 1e6;
         println!(
-            "{k:>4} {ms:>12.1} {:>14.2} {:>12}",
+            "{k:>4} {ms:>12.1} {:>14.2} {peak_mb:>14.2} {:>12}",
             stats.tape_bytes as f64 / 1e6,
             stats.tape_nodes
         );
@@ -128,12 +139,13 @@ fn ablation_refinements() {
             k as f64,
             ms,
             stats.tape_bytes as f64 / 1e6,
+            peak_mb,
             stats.tape_nodes as f64,
         ]);
     }
     write_csv(
         "results/ablation_refinements.csv",
-        &["k", "time_ms", "tape_mb", "tape_nodes"],
+        &["k", "time_ms", "tape_mb", "heap_peak_mb", "tape_nodes"],
         &rows,
     )
     .ok();

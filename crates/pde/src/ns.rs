@@ -180,31 +180,52 @@ pub struct NsSparseOps {
     /// diagonal (see [`linalg::SaddlePrecond`]).
     pub a_p: Csr,
     /// `3N × 3N` advection structure matrix for the taped DP path:
-    /// `dx_int` embedded in the `(u,u)` and `(v,v)` blocks. Row-scaling it
-    /// by the stacked `[u; u; 0]` vector reproduces the Picard advection
-    /// contribution of `u∂x`.
+    /// `dx_int` embedded in the `(u,u)` and `(v,v)` blocks (see
+    /// [`NsSolver::advection_structs`]).
     pub adv3_x: Arc<Csr>,
-    /// `3N × 3N` advection structure matrix: `dy_int` in the same blocks,
-    /// row-scaled by `[v; v; 0]` for the `v∂y` contribution.
+    /// `3N × 3N` advection structure matrix: `dy_int` in the same blocks.
     pub adv3_y: Arc<Csr>,
+}
+
+/// Bytes held by a CSR matrix (values + index arrays).
+fn csr_bytes(m: &Csr) -> usize {
+    m.nnz() * (8 + std::mem::size_of::<usize>()) + (m.nrows() + 1) * std::mem::size_of::<usize>()
+}
+
+/// `3N × 3N` advection structure matrix: the interior rows of a
+/// derivative operator (`row(i)` yields row `i`'s `(column, value)`
+/// pairs) embedded in the `(u,u)` and `(v,v)` blocks. Row-scaling it by
+/// the stacked `[u; u; 0]` (`[v; v; 0]`) vector gives the Picard advection
+/// contribution `u∂x` (`v∂y`).
+fn advection_embedding<R>(nodes: &NodeSet, row: impl Fn(usize) -> R) -> Arc<Csr>
+where
+    R: Iterator<Item = (usize, f64)>,
+{
+    let n = nodes.len();
+    let mut t = Triplets::new(3 * n, 3 * n);
+    // Block by block, so the triplets arrive already in CSR order.
+    for off in [0, n] {
+        for i in nodes.interior_range() {
+            for (j, v) in row(i) {
+                t.push(off + i, off + j, v);
+            }
+        }
+    }
+    Arc::new(t.to_csr())
 }
 
 impl NsSparseOps {
     /// Bytes held by the stored CSR operators (values + index arrays).
     pub fn memory_bytes(&self) -> usize {
-        let csr = |m: &Csr| {
-            m.nnz() * (8 + std::mem::size_of::<usize>())
-                + (m.nrows() + 1) * std::mem::size_of::<usize>()
-        };
-        csr(&self.dx)
-            + csr(&self.dy)
-            + csr(&self.dx_int)
-            + csr(&self.dy_int)
-            + csr(&self.a_u0)
-            + csr(&self.a_v0)
-            + csr(&self.a_p)
-            + csr(&self.adv3_x)
-            + csr(&self.adv3_y)
+        csr_bytes(&self.dx)
+            + csr_bytes(&self.dy)
+            + csr_bytes(&self.dx_int)
+            + csr_bytes(&self.dy_int)
+            + csr_bytes(&self.a_u0)
+            + csr_bytes(&self.a_v0)
+            + csr_bytes(&self.a_p)
+            + csr_bytes(&self.adv3_x)
+            + csr_bytes(&self.adv3_y)
     }
 }
 
@@ -218,11 +239,11 @@ struct DenseOps {
     /// Constant part of the coupled matrix (`3N × 3N`): diffusion, pressure
     /// gradient, BC rows, continuity rows, pressure-BC rows.
     base: Arc<DMat>,
-    /// Advection embedding scaled by `u`: `Dxᵢₙₜ` in the (u,u) and (v,v)
-    /// blocks (`3N × 3N`).
-    adv_x: Arc<DMat>,
-    /// Advection embedding scaled by `v`: `Dyᵢₙₜ` in the same blocks.
-    adv_y: Arc<DMat>,
+    /// Advection structure matrices for the taped DP path: `Dxᵢₙₜ` and
+    /// `Dyᵢₙₜ` in the (u,u) and (v,v) blocks, as CSR — the same values the
+    /// coupled matrix carries, at `O(N_int·N)` instead of `(3N)²` storage.
+    adv3_x: Arc<Csr>,
+    adv3_y: Arc<Csr>,
 }
 
 /// The discretisation actually built, decided by [`NsConfig::backend`].
@@ -308,25 +329,15 @@ fn build_dense_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<DenseOps,
         }
     }
 
-    // ---- Advection embeddings (row-scaled by u and v respectively) ----
-    let mut adv_x = DMat::zeros(3 * n, 3 * n);
-    let mut adv_y = DMat::zeros(3 * n, 3 * n);
-    for i in nodes.interior_range() {
-        for j in 0..n {
-            adv_x[(i, j)] = dx_int[(i, j)];
-            adv_x[(n + i, n + j)] = dx_int[(i, j)];
-            adv_y[(i, j)] = dy_int[(i, j)];
-            adv_y[(n + i, n + j)] = dy_int[(i, j)];
-        }
-    }
-
+    let adv3_x = advection_embedding(nodes, |i| dx_int.row(i).iter().copied().enumerate());
+    let adv3_y = advection_embedding(nodes, |i| dy_int.row(i).iter().copied().enumerate());
     Ok(DenseOps {
         dm,
         dx_int: Arc::new(dx_int),
         dy_int: Arc::new(dy_int),
         base: Arc::new(base),
-        adv_x: Arc::new(adv_x),
-        adv_y: Arc::new(adv_y),
+        adv3_x,
+        adv3_y,
     })
 }
 
@@ -390,22 +401,12 @@ fn build_sparse_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<NsSparse
     }
     let dx_int = t_dxi.to_csr();
     let dy_int = t_dyi.to_csr();
-
-    // 3N × 3N advection structure matrices for the taped DP path.
-    let mut t3x = Triplets::new(3 * n, 3 * n);
-    let mut t3y = Triplets::new(3 * n, 3 * n);
-    for i in nodes.interior_range() {
-        let (cx, vx) = dx_int.row(i);
-        for (&j, &v) in cx.iter().zip(vx) {
-            t3x.push(i, j, v);
-            t3x.push(n + i, n + j, v);
-        }
-        let (cy, vy) = dy_int.row(i);
-        for (&j, &v) in cy.iter().zip(vy) {
-            t3y.push(i, j, v);
-            t3y.push(n + i, n + j, v);
-        }
+    fn csr_row(m: &Csr, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (cols, vals) = m.row(i);
+        cols.iter().copied().zip(vals.iter().copied())
     }
+    let adv3_x = advection_embedding(nodes, |i| csr_row(&dx_int, i));
+    let adv3_y = advection_embedding(nodes, |i| csr_row(&dy_int, i));
 
     Ok(NsSparseOps {
         dx,
@@ -415,8 +416,8 @@ fn build_sparse_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<NsSparse
         a_u0: t_au.to_csr(),
         a_v0: t_av.to_csr(),
         a_p: t_ap.to_csr(),
-        adv3_x: Arc::new(t3x.to_csr()),
-        adv3_y: Arc::new(t3y.to_csr()),
+        adv3_x,
+        adv3_y,
     })
 }
 
@@ -582,20 +583,16 @@ impl NsSolver {
         &self.dense_ops().base
     }
 
-    /// `u`-scaled advection embedding (`3N × 3N`; dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn adv_x(&self) -> &Arc<DMat> {
-        &self.dense_ops().adv_x
-    }
-
-    /// `v`-scaled advection embedding (`3N × 3N`; dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn adv_y(&self) -> &Arc<DMat> {
-        &self.dense_ops().adv_y
+    /// The `3N × 3N` advection structure matrices `[C_x, C_y]` of either
+    /// backend: the coupled Picard matrix is `A₀ + diag(s_u)·C_x +
+    /// diag(s_v)·C_y` with `s_u = [u; u; 0]`, `s_v = [v; v; 0]`, which is
+    /// the decomposition [`autodiff::Tape::solve_scaled`] differentiates.
+    pub fn advection_structs(&self) -> [Arc<Csr>; 2] {
+        let (x, y) = match &self.disc {
+            Disc::Dense(d) => (&d.adv3_x, &d.adv3_y),
+            Disc::Sparse(o) => (&o.adv3_x, &o.adv3_y),
+        };
+        [Arc::clone(x), Arc::clone(y)]
     }
 
     /// The RBF-FD sparse operators (`Some` only under
@@ -682,8 +679,8 @@ impl NsSolver {
     }
 
     /// Bytes held by the assembled constant operators. Dense mode: the
-    /// `(3N)²` base and advection-embedding matrices plus the `N²`
-    /// differentiation matrices. Sparse mode: the CSR operator set, which
+    /// `(3N)²` base matrix, the `N²` differentiation matrices and the CSR
+    /// advection structure matrices. Sparse mode: the CSR operator set, which
     /// is `O(k·N)` (stencil size `k`), not `O(N²)`. This is what a
     /// cross-request cache pays to keep an NS problem build resident (the
     /// per-sweep factor lives in the [`NsWorkspace`], not here).
@@ -692,8 +689,8 @@ impl NsSolver {
             Disc::Dense(d) => {
                 let mat = |m: &DMat| m.as_slice().len() * 8;
                 mat(&d.base)
-                    + mat(&d.adv_x)
-                    + mat(&d.adv_y)
+                    + csr_bytes(&d.adv3_x)
+                    + csr_bytes(&d.adv3_y)
                     + mat(&d.dx_int)
                     + mat(&d.dy_int)
                     + mat(&d.dm.dx)

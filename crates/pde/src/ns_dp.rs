@@ -6,25 +6,28 @@
 //! the exact discrete gradient `dJ/dc` of the outflow-tracking cost with
 //! respect to the inflow control.
 //!
-//! Every refinement records one `(3N)²` LU factorization on the tape, so
-//! tape memory grows linearly in `k` while the factorization *work* grows
-//! with `k` too — together this is the super-linear cost-vs-`k` behaviour
-//! the paper reports for DP in Table 3 and §4 ("DP as conceived in this
-//! study can be memory inefficient due to storage … of a computational
-//! graph").
+//! Every refinement records one [`Tape::solve_scaled`] node on either
+//! backend. The coupled operator is the fixed decomposition
+//! `A₀ + diag(s_u)·C_x + diag(s_v)·C_y` (CSR structure matrices from
+//! [`NsSolver::advection_structs`]); it is assembled *untaped* for the
+//! current iterate — densely into one reused `(3N)²` buffer and LU-factored
+//! under [`linalg::BackendKind::DenseLu`], as block CSR behind
+//! Schur-preconditioned GMRES under [`linalg::BackendKind::SparseGmres`].
+//! The reverse sweep does one transpose solve per refinement and contracts
+//! `Ā = −s xᵀ` against `C_x`, `C_y` without forming it.
 //!
-//! Under [`linalg::BackendKind::SparseGmres`] each refinement instead
-//! records a [`Tape::solve_scaled`] node: the saddle operator is the fixed
-//! decomposition `A₀ + diag(s_u)·C_x + diag(s_v)·C_y` (structure matrices
-//! from [`crate::ns::NsSparseOps`]), solved by Schur-preconditioned GMRES,
-//! and the reverse sweep uses one transpose solve per refinement — the
-//! dense `(3N)²` matrix and its `Ā = −s xᵀ` outer product are never
-//! materialised.
+//! Under `DenseLu` the node keeps only its `(3N)²` LU factor, so tape
+//! memory grows linearly in `k` (one factor per refinement) while the
+//! factorization *work* grows with `k` too — together this is the
+//! cost-vs-`k` behaviour the paper reports for DP in Table 3 and §4 ("DP
+//! as conceived in this study can be memory inefficient due to storage …
+//! of a computational graph"). No `(3N)²` intermediate or adjoint is
+//! recorded beyond the factors.
 
 use crate::ns::{NsSolver, NsState};
 use autodiff::tensor::{self, Tensor};
 use autodiff::Tape;
-use linalg::{BackendKind, DMat, DVec, LinalgError, LinearBackend, SparseIterative};
+use linalg::{BackendKind, DMat, DVec, LinalgError, LinearBackend, Lu, SparseIterative};
 use std::sync::Arc;
 
 /// Statistics captured from the DP tape — feeds the Table 3 reproduction.
@@ -128,41 +131,30 @@ impl<'s> NsDp<'s> {
         let zeros_n = tape.var_col(&vec![0.0; n]);
         let rhs = cv.matmul_const_l(&self.placement_in).add_const(&self.rhs0);
         let w = s.cfg().picard_damping;
+        let structs = s.advection_structs();
+        // Dense mode assembles every sweep's matrix into this one buffer.
+        let mut ws = s.workspace();
 
         for _ in 0..k {
             let u_slice = x.slice_rows(0, n);
             let v_slice = x.slice_rows(n, n);
             let su = tape.concat_rows(&[u_slice, u_slice, zeros_n]);
             let sv = tape.concat_rows(&[v_slice, v_slice, zeros_n]);
-            let x_new = match s.cfg().backend {
+            // The operator for the current iterate is assembled untaped:
+            // it is A₀ + diag(su)·C_x + diag(sv)·C_y, and `solve_scaled`
+            // differentiates through exactly that decomposition.
+            let state_now = NsState::unstack(&tensor::to_dvec(&x.value()));
+            let be: Arc<dyn LinearBackend> = match s.cfg().backend {
                 BackendKind::DenseLu => {
-                    let a = su
-                        .row_scale_const(s.adv_x())
-                        .add(sv.row_scale_const(s.adv_y()))
-                        .add_const(s.base());
-                    tape.solve_with_kind(s.cfg().backend, a, rhs)?
+                    s.picard_matrix_into(&state_now, &mut ws.a);
+                    Arc::new(Lu::factor(&ws.a)?)
                 }
-                BackendKind::SparseGmres => {
-                    // The saddle operator for the current iterate is
-                    // assembled untaped (it is A₀ + diag(su)·C_x +
-                    // diag(sv)·C_y, and `solve_scaled` differentiates
-                    // through exactly that decomposition), so the dense
-                    // (3N)² matrix never exists on this path either.
-                    let state_now = NsState::unstack(&tensor::to_dvec(&x.value()));
-                    let blocks = s.picard_blocks(&state_now);
-                    let be: Arc<dyn LinearBackend> = Arc::new(SparseIterative::gmres_saddle(
-                        &blocks,
-                        NsSolver::sparse_opts(),
-                    ));
-                    let ops = s.sparse_ops().expect("sparse backend has sparse ops");
-                    tape.solve_scaled(
-                        &be,
-                        &[su, sv],
-                        &[Arc::clone(&ops.adv3_x), Arc::clone(&ops.adv3_y)],
-                        rhs,
-                    )?
-                }
+                BackendKind::SparseGmres => Arc::new(SparseIterative::gmres_saddle(
+                    &s.picard_blocks(&state_now),
+                    NsSolver::sparse_opts(),
+                )),
             };
+            let x_new = tape.solve_scaled(&be, &[su, sv], &structs, rhs)?;
             x = x.scale(1.0 - w).add(x_new.scale(w));
         }
 
@@ -277,6 +269,26 @@ mod tests {
             st8.tape_bytes
         );
         assert!(st8.tape_nodes > st2.tape_nodes);
+    }
+
+    #[test]
+    fn dense_tape_holds_one_lu_factor_per_refinement_and_no_dense_intermediates() {
+        // Each refinement keeps its (3N)² LU factor; everything else on the
+        // tape is O(N) node values. One (3N)² intermediate or adjoint
+        // (72·N² bytes) would blow the O(N) allowance.
+        let s = tiny_solver(30.0);
+        let n = s.nodes().len();
+        let c = DVec(s.inflow_y().iter().map(|&y| poiseuille(y, 1.0)).collect());
+        let k = 4;
+        let (_, _, st) = NsDp::new(&s).cost_and_grad(&c, k, None).unwrap();
+        let lu = Lu::factor(&s.picard_matrix(&s.initial_state(&c))).unwrap();
+        let bound = k * LinearBackend::memory_bytes(&lu) + 1024 * n;
+        assert!(
+            st.tape_bytes <= bound,
+            "tape {} B exceeds {k} LU factors + O(N) = {bound} B (N = {n})",
+            st.tape_bytes
+        );
+        assert!(72 * n * n > 1024 * n, "cloud too small to tell");
     }
 
     #[test]
