@@ -87,7 +87,7 @@ enum Op {
     /// `X + 1·r` broadcasting a `1 × n` row over an `m × n` matrix.
     BroadcastAddRow(usize, usize),
     /// `x = A⁻¹ b` with a constant, pre-prepared `A` (dense LU factors or a
-    /// sparse GMRES+ILU0 backend — the tape only needs the solve contract).
+    /// sparse factor — the tape only needs the solve contract).
     SolveConst {
         be: Arc<dyn LinearBackend>,
         b: usize,
@@ -228,7 +228,7 @@ impl Tape {
     }
 
     /// [`Tape::solve_const`] generalised to any prepared [`LinearBackend`]:
-    /// dense LU factors or a sparse GMRES+ILU0 operator. The backward pass
+    /// dense LU factors or a sparse factor. The backward pass
     /// calls the backend's transpose solve, so a sparse forward solve gets a
     /// sparse adjoint solve — and both report through the `"linsolve"` trace
     /// layer when the backend does.
@@ -268,7 +268,7 @@ impl Tape {
     /// result of forming `Ā` and row-contracting it against a dense `Cₖ`
     /// (skipped exact zeros add `±0` to a sum that starts at `+0`) — at
     /// `O(nnz)` cost and `O(n)` memory. Every Navier–Stokes Picard sweep,
-    /// dense LU or sparse saddle GMRES, records exactly one such node, so
+    /// dense LU or sparse band LU, records exactly one such node, so
     /// the tape keeps one prepared backend per sweep and no `(3N)²`
     /// intermediate or adjoint.
     pub fn solve_scaled<'t>(
@@ -831,7 +831,7 @@ impl<'t> TVar<'t> {
 mod tests {
     use super::*;
     use crate::gradcheck::{fd_gradient, rel_error};
-    use linalg::{Csr, DVec, IterOpts, SparseIterative, Triplets};
+    use linalg::{BandLu, Csr, DVec, Triplets};
 
     #[test]
     fn add_mul_grads() {
@@ -1093,7 +1093,7 @@ mod tests {
     #[test]
     fn sparse_taped_solve_matches_dense_to_equivalence_tolerance() {
         // One scaled solve through both backends: a diagonally dominant
-        // tridiagonal system that GMRES+ILU0 nails.
+        // tridiagonal system, dense LU against the sparse band factor.
         let n = 24;
         let a0 = tridiag(n);
         let c = DMat::eye(n);
@@ -1113,9 +1113,7 @@ mod tests {
             )
         };
         let (xd, gsd, gbd) = run(Arc::new(Lu::factor(&a).unwrap()));
-        let opts = IterOpts::gmres().max_iter(6000).tol(1e-12).restart(80);
-        let csr_a = Arc::unwrap_or_clone(to_csr(&a));
-        let (xs, gss, gbs) = run(Arc::new(SparseIterative::gmres_ilu0(csr_a, opts)));
+        let (xs, gss, gbs) = run(Arc::new(BandLu::factor(&to_csr(&a)).unwrap()));
         assert!(rel_error(&xd, &xs) < 1e-8, "state mismatch");
         assert!(rel_error(&gsd, &gss) < 1e-8, "matrix-param grad mismatch");
         assert!(rel_error(&gbd, &gbs) < 1e-8, "rhs grad mismatch");

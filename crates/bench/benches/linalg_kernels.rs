@@ -2,7 +2,7 @@
 //! dominate every method's per-iteration cost (backing Table 3's timings).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use linalg::{gmres, DMat, DVec, IterOpts, Lu, Preconditioner, Triplets};
+use linalg::{DMat, DVec, Lu, Triplets};
 use std::hint::black_box;
 
 fn test_matrix(n: usize) -> DMat {
@@ -65,14 +65,6 @@ fn bench_sparse(c: &mut Criterion) {
         let x = DVec::from_fn(n, |i| 1.0 / (1.0 + i as f64));
         g.bench_with_input(BenchmarkId::new("spmv", n), &a, |b, a| {
             b.iter(|| a.matvec(black_box(&x)))
-        });
-        let rhs = DVec::full(n, 1.0);
-        // ILU(0) is exact for tridiagonal systems, so this measures one
-        // preconditioned sweep + the residual check — the per-iteration
-        // floor of the sparse path.
-        let m = Preconditioner::ilu0_from(&a);
-        g.bench_with_input(BenchmarkId::new("gmres_ilu0", n), &a, |b, a| {
-            b.iter(|| gmres(a, black_box(&rhs), &m, &IterOpts::gmres().tol(1e-8)).unwrap())
         });
     }
     g.finish();

@@ -2,9 +2,9 @@
 //!
 //! Times the named kernels of the meshfree substrate (dense LU factor,
 //! solve, transpose solve and one-column `solve_many`, sparse SpMV,
-//! RBF-FD assembly, preconditioned GMRES, the sparse Laplace envelope
-//! factor and solve, one DAL and one DP Laplace
-//! gradient iteration, one Navier–Stokes Picard sweep) with
+//! RBF-FD assembly, the sparse Laplace envelope factor and solve, one DAL
+//! and one DP Laplace gradient iteration, one Navier–Stokes Picard sweep)
+//! with
 //! warmup + median-of-N repetitions ([`meshfree_runtime::stats`]) and
 //! serialises the results through the same hand-rolled JSON layer as the
 //! golden snapshots ([`check::golden::GoldenSnapshot`]).
@@ -21,7 +21,7 @@
 //! amortization claim behind `Strategy::NeuralOp`).
 //!
 //! The suite additionally sweeps the blocked dense kernels (`lu_factor`,
-//! `matmul`, `gmres_ilu0_laplace`) over pool widths {1, 2, 8}, each
+//! `matmul`) over pool widths {1, 2, 8}, each
 //! clamped to the measuring machine's `host_threads` (a width the host
 //! does not have measures nothing but oversubscription), recording
 //! `<kernel>.t<w>.median_ns` per width plus derived
@@ -79,9 +79,8 @@ use control::ns::initial_control;
 use control::surrogate::{LaplaceSurrogate, SurrogateSpec};
 use control::OptimizerKind;
 use geometry::generators::unit_square_grid;
-use linalg::iterative::{gmres, IterOpts, Preconditioner};
 use linalg::sparse::Triplets;
-use linalg::{DMat, DVec, EnvelopeLu, LinearBackend, Lu, SparseIterative};
+use linalg::{DMat, DVec, EnvelopeLu, LinearBackend, Lu};
 use meshfree_runtime::par::{with_pool, ThreadPool};
 use meshfree_runtime::{num_threads, time_kernel, Rng64, SpanStats};
 use pde::{LaplaceControlProblem, NsConfig, NsSolver};
@@ -101,8 +100,6 @@ const REQUIRED_KERNELS: &[&str] = &[
     "spmv",
     "rbf_fd_assembly",
     "csr_assembly_fd",
-    "gmres",
-    "gmres_ilu0_laplace",
     "envelope_lu_factor_laplace",
     "envelope_lu_laplace",
     "dal_laplace_iter",
@@ -115,7 +112,6 @@ const REQUIRED_KERNELS: &[&str] = &[
     "serve_cache_miss_laplace",
     "ns_picard_sweep",
     "ns_saddle_assembly_fd",
-    "gmres_schur_ns",
 ];
 
 /// Hard gate: one right-hand side through `Lu::solve_many` may cost at
@@ -126,7 +122,7 @@ const REQUIRED_KERNELS: &[&str] = &[
 const SOLVE_MANY_W1_MAX_RATIO: f64 = 1.1;
 
 /// Kernels the thread sweep re-times at every pool width.
-const SWEPT_KERNELS: &[&str] = &["lu_factor", "matmul", "gmres_ilu0_laplace"];
+const SWEPT_KERNELS: &[&str] = &["lu_factor", "matmul"];
 
 /// Pool widths the sweep visits by default (each clamped to the host's
 /// `available_parallelism`, see [`clamp_widths`]).
@@ -233,8 +229,7 @@ impl Sizes {
 }
 
 /// The RBF-FD nodal Laplace system behind `BackendKind::SparseGmres`:
-/// interior Laplacian rows, identity boundary rows. Shared by the main
-/// suite and the thread sweep so both time the same operator.
+/// interior Laplacian rows, identity boundary rows.
 fn laplace_fd_csr(nodes: &geometry::NodeSet, lap: &linalg::Csr) -> linalg::Csr {
     let mut t = Triplets::new(nodes.len(), nodes.len());
     for i in nodes.interior_range() {
@@ -253,12 +248,11 @@ fn laplace_fd_csr(nodes: &geometry::NodeSet, lap: &linalg::Csr) -> linalg::Csr {
 /// to the host, [`clamp_widths`]), recording `<kernel>.t<w>.median_ns`
 /// plus the derived speedup and scaling-efficiency scalars, and asserting
 /// the hard gates. At width 1 the tiled `lu_factor` is timed interleaved
-/// with [`unblocked_lu`]. The dense problems always run at full size —
-/// and every sweep timing at the full warmup/rep counts — so the gated
+/// with [`unblocked_lu`]. The problems always run at full size — and
+/// every sweep timing at the full warmup/rep counts — so the gated
 /// medians are comparable (and noise-robust) across `--quick` and full
-/// runs; only the sparse GMRES problem size follows `sz` (it gates
-/// nothing).
-fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenSnapshot {
+/// runs.
+fn run_sweep(threads: &[usize], mut snap: GoldenSnapshot) -> GoldenSnapshot {
     let host = host_threads();
     snap = snap.scalar("host_threads", host as f64);
     let widths = clamp_widths(threads, host);
@@ -273,14 +267,6 @@ fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenS
     }
     let mut bm = DMat::zeros(n, n);
     rng.fill_uniform(bm.as_mut_slice(), -1.0..1.0);
-
-    let nodes = unit_square_grid(sz.fd_nx, sz.fd_nx, LaplaceControlProblem::classifier);
-    let lap = fd_matrix(&nodes, RbfKernel::Phs3, FdConfig::default(), DiffOp::Lap)
-        .expect("sweep assembly");
-    let a_lap = laplace_fd_csr(&nodes, &lap);
-    let m_lap = Preconditioner::ilu0_from(&a_lap);
-    let opts_lap = IterOpts::gmres().max_iter(2000).tol(1e-10).restart(60);
-    let b_lap = DVec::from_fn(nodes.len(), |i| (PI * nodes.point(i).x).sin());
 
     type SweepKernel<'a> = (&'a str, usize, Box<dyn FnMut() + 'a>);
     let mut kernels: Vec<SweepKernel> = vec![
@@ -298,14 +284,6 @@ fn run_sweep(threads: &[usize], sz: &Sizes, mut snap: GoldenSnapshot) -> GoldenS
             Box::new(|| {
                 let c = a.matmul(&bm).expect("sweep matmul");
                 std::hint::black_box(&c);
-            }),
-        ),
-        (
-            "gmres_ilu0_laplace",
-            nodes.len(),
-            Box::new(|| {
-                let r = gmres(&a_lap, &b_lap, &m_lap, &opts_lap).expect("sweep gmres");
-                std::hint::black_box(&r.x);
             }),
         ),
     ];
@@ -513,7 +491,7 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         }),
     );
 
-    // ---- RBF-FD assembly + SpMV + GMRES --------------------------------
+    // ---- RBF-FD assembly + SpMV + envelope LU ---------------------------
     let nodes = unit_square_grid(sz.fd_nx, sz.fd_nx, LaplaceControlProblem::classifier);
     let fd_cfg = FdConfig::default();
     snap = record(
@@ -537,7 +515,8 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         }),
     );
     // First the triplet→CSR conversion ([`laplace_fd_csr`]), then the
-    // preconditioned solve itself.
+    // sparse Laplace build's direct solver: factored once (split, RCM,
+    // envelope LU, checks), then one solve.
     snap = record(
         snap,
         "csr_assembly_fd",
@@ -548,20 +527,7 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         }),
     );
     let a_lap = laplace_fd_csr(&nodes, &lap);
-    let m_lap = Preconditioner::ilu0_from(&a_lap);
-    let opts_lap = IterOpts::gmres().max_iter(2000).tol(1e-10).restart(60);
     let b_lap = DVec::from_fn(nodes.len(), |i| (PI * nodes.point(i).x).sin());
-    snap = record(
-        snap,
-        "gmres_ilu0_laplace",
-        nodes.len(),
-        time_kernel(sz.warmup, sz.reps, || {
-            let r = gmres(&a_lap, &b_lap, &m_lap, &opts_lap).expect("gmres_ilu0_laplace");
-            std::hint::black_box(&r.x);
-        }),
-    );
-    // The same system through the sparse Laplace build's direct solver:
-    // factored once (split, RCM, envelope LU, checks), then one solve.
     snap = record(
         snap,
         "envelope_lu_factor_laplace",
@@ -579,32 +545,6 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         time_kernel(sz.warmup, sz.reps.max(31), || {
             let x = env.solve(&b_lap).expect("envelope_lu_laplace");
             std::hint::black_box(&x);
-        }),
-    );
-
-    // Implicit heat step I − τ∇²: diagonally dominant for small τ, the
-    // canonical well-posed system for the sparse Krylov path.
-    let h = 1.0 / (sz.fd_nx.max(2) - 1) as f64;
-    let tau = 0.25 * h * h;
-    let mut t = Triplets::new(nodes.len(), nodes.len());
-    for i in 0..nodes.len() {
-        t.push(i, i, 1.0);
-        let (cols, vals) = lap.row(i);
-        for (&j, &w) in cols.iter().zip(vals) {
-            t.push(i, j, -tau * w);
-        }
-    }
-    let heat = t.to_csr();
-    let rhs = DVec::from_fn(nodes.len(), |i| 1.0 + (i as f64 * 0.05).sin());
-    let pre = Preconditioner::ilu0_from(&heat);
-    let opts = IterOpts::gmres().max_iter(400).tol(1e-8).restart(30);
-    snap = record(
-        snap,
-        "gmres",
-        nodes.len(),
-        time_kernel(sz.warmup, sz.reps, || {
-            let r = gmres(&heat, &rhs, &pre, &opts).expect("gmres");
-            std::hint::black_box(&r.x);
         }),
     );
 
@@ -806,11 +746,10 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
         }),
     );
 
-    // ---- sparse NS: saddle assembly + Schur-preconditioned GMRES -------
-    // The per-sweep costs of the RBF-FD saddle path: composing the 3×3
-    // block-CSR Picard operator from the constant operator set (row
-    // scaling + a sparse add, never a dense matrix), then one coupled
-    // solve through block-ILU(0) + SIMPLE-Schur GMRES.
+    // ---- sparse NS: saddle assembly -------------------------------------
+    // The per-sweep assembly cost of the RBF-FD saddle path: composing the
+    // 3×3 block-CSR Picard operator from the constant operator set (row
+    // scaling + a sparse add, never a dense matrix).
     let sparse_solver = NsSolver::new(NsConfig {
         channel: geometry::generators::ChannelConfig {
             h: sz.ns_h,
@@ -835,22 +774,10 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
             std::hint::black_box(&blocks);
         }),
     );
-    let blocks = sparse_solver.picard_blocks(&state_sp);
-    let be = SparseIterative::gmres_saddle(&blocks, NsSolver::sparse_opts());
-    let b_ns = sparse_solver.rhs(&c_sp);
-    snap = record(
-        snap,
-        "gmres_schur_ns",
-        sparse_solver.nodes().len(),
-        time_kernel(sz.warmup, sz.reps, || {
-            let x = be.solve(&b_ns).expect("gmres_schur_ns");
-            std::hint::black_box(&x);
-        }),
-    );
 
     // ---- pool-width scaling sweep over the blocked dense kernels --------
     println!("\n# thread sweep");
-    run_sweep(SWEEP_THREADS_DEFAULT, sz, snap)
+    run_sweep(SWEEP_THREADS_DEFAULT, snap)
 }
 
 /// Validates a written snapshot: parseable, carries every required entry
@@ -1097,7 +1024,7 @@ fn main() -> ExitCode {
             run_verify(&path)
         }
         "sweep" => {
-            let snap = run_sweep(&threads, &sz, GoldenSnapshot::new("perf_sweep"));
+            let snap = run_sweep(&threads, GoldenSnapshot::new("perf_sweep"));
             write_snapshot(&snap, out.as_deref().unwrap_or("BENCH_sweep.json"))
         }
         _ => {

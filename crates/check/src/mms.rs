@@ -10,7 +10,7 @@
 //! * **dense** — nodal differentiation matrices from the global RBF
 //!   collocation context (the paper's main path), direct LU solve;
 //! * **RBF-FD** — sparse local-stencil operators assembled with
-//!   [`rbf::fd::fd_matrix`], ILU(0)-preconditioned GMRES solve.
+//!   [`rbf::fd::fd_matrix`], sparse direct solve ([`linalg::BandLu`]).
 //!
 //! The same [`ManufacturedSolution`] drives four PDE operators (Laplace,
 //! Poisson, advection–diffusion, implicit-Euler heat) on both paths, plus
@@ -22,7 +22,7 @@
 
 use geometry::generators::unit_square_grid;
 use geometry::{NodeKind, NodeSet, Point2};
-use linalg::{gmres, Csr, DVec, IterOpts, LinalgError, Lu, Preconditioner, Triplets};
+use linalg::{BandLu, Csr, DVec, LinalgError, LinearBackend, Lu, Triplets};
 use meshfree_runtime::trace;
 use rbf::fd::{fd_matrix, FdConfig};
 use rbf::{DiffOp, GlobalCollocation, RbfKernel};
@@ -179,7 +179,7 @@ impl Operator {
 pub enum Path {
     /// Dense nodal differentiation matrices from global collocation + LU.
     Dense,
-    /// Sparse RBF-FD stencils + ILU(0)/GMRES.
+    /// Sparse RBF-FD stencils + band LU.
     RbfFd,
 }
 
@@ -259,27 +259,14 @@ impl OpMatrices {
     }
 }
 
-/// Either a factored dense system or a preconditioned sparse one.
-enum System {
-    Dense(Lu),
-    Sparse { a: Csr, m: Preconditioner },
-}
-
-impl System {
-    fn solve(&self, b: &DVec) -> Result<DVec, LinalgError> {
-        match self {
-            System::Dense(lu) => lu.solve(b),
-            System::Sparse { a, m } => {
-                let opts = IterOpts::gmres().max_iter(8000).tol(1e-12).restart(80);
-                Ok(gmres(a, b, m, &opts)?.x)
-            }
-        }
-    }
-}
-
 /// Assembles the steady system `c_dx·Dx + c_dy·Dy + c_lap·L + c_id·I` on
-/// interior rows and identity on boundary rows.
-fn assemble(nodes: &NodeSet, ops: &OpMatrices, co: (f64, f64, f64, f64)) -> System {
+/// interior rows and identity on boundary rows, and factors it: dense LU
+/// on the dense path, [`BandLu`] on the RBF-FD path.
+fn assemble(
+    nodes: &NodeSet,
+    ops: &OpMatrices,
+    co: (f64, f64, f64, f64),
+) -> Result<Box<dyn LinearBackend>, LinalgError> {
     let (cx, cy, cl, cid) = co;
     let n = nodes.len();
     let mut t = Triplets::new(n, n);
@@ -301,15 +288,10 @@ fn assemble(nodes: &NodeSet, ops: &OpMatrices, co: (f64, f64, f64, f64)) -> Syst
         t.push(i, i, 1.0);
     }
     let a = t.to_csr();
-    match ops {
-        OpMatrices::Dense(_) => {
-            System::Dense(Lu::factor(&a.to_dense()).expect("dense MMS factorisation"))
-        }
-        OpMatrices::Sparse { .. } => {
-            let m = Preconditioner::ilu0_from(&a);
-            System::Sparse { a, m }
-        }
-    }
+    Ok(match ops {
+        OpMatrices::Dense(_) => Box::new(Lu::factor(&a.to_dense())?),
+        OpMatrices::Sparse { .. } => Box::new(BandLu::factor(&a)?),
+    })
 }
 
 /// Solves the manufactured problem on an `nx × nx` grid and returns the
@@ -323,7 +305,7 @@ pub fn solve_error(
 ) -> Result<f64, LinalgError> {
     let nodes = unit_square_grid(nx, nx, all_dirichlet);
     let ops = build_ops(&nodes, path, degree)?;
-    let sys = assemble(&nodes, &ops, op.coeffs());
+    let sys = assemble(&nodes, &ops, op.coeffs())?;
     let n = nodes.len();
     let u_num = match op {
         Operator::Heat { dt, n_steps, .. } => {

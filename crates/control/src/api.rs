@@ -131,16 +131,12 @@ impl From<LinalgError> for ControlError {
 
 impl ControlError {
     /// True for failures that a damped retry with a perturbed seed can
-    /// plausibly cure: an observed non-finite cost, an iterative solver
-    /// that did not converge, or a singular pivot (the Picard divergence
-    /// mode).
+    /// plausibly cure: an observed non-finite cost or a singular pivot
+    /// (the Picard divergence mode).
     pub fn is_divergence(&self) -> bool {
         match self {
             ControlError::Diverged { .. } => true,
-            ControlError::Linalg(e) => matches!(
-                e,
-                LinalgError::NotConverged { .. } | LinalgError::SingularMatrix { .. }
-            ),
+            ControlError::Linalg(e) => matches!(e, LinalgError::SingularMatrix { .. }),
             _ => false,
         }
     }
@@ -1258,8 +1254,8 @@ impl RunSpecBuilder {
     /// Linear-solver backend (Laplace and Navier–Stokes specs). The
     /// default [`BackendKind::DenseLu`] keeps run identifiers and results
     /// byte-identical; [`BackendKind::SparseGmres`] switches to the sparse
-    /// RBF-FD discretisation (Laplace: envelope LU; Navier–Stokes:
-    /// Schur-preconditioned GMRES) and suffixes the run id with the backend
+    /// RBF-FD discretisation (Laplace: envelope LU; Navier–Stokes: band LU
+    /// per sweep) and suffixes the run id with the backend
     /// name so campaign grids can sweep `backend ∈ {DenseLu, SparseGmres}`.
     pub fn backend(mut self, kind: BackendKind) -> Self {
         match &mut self.spec.problem {
@@ -2002,10 +1998,9 @@ mod tests {
         assert!(e.to_string().contains("iteration 7"));
         assert!(e.is_divergence() && !e.is_fatal());
 
-        let e = ControlError::from(LinalgError::NotConverged {
-            solver: "picard",
-            iterations: 30,
-            residual: 1.0,
+        let e = ControlError::from(LinalgError::SingularMatrix {
+            pivot: 30,
+            value: 0.0,
         });
         assert!(e.is_divergence());
         assert!(e.source().is_some());

@@ -37,11 +37,6 @@
 //!   into *at most this many* fixed blocks (`rows.div_ceil(PAR_BLOCKS)`
 //!   rows each), so chunk boundaries depend only on the problem size,
 //!   never the pool width — the bitwise pool-width-invariance contract.
-//! * [`REDUCE_BLOCK`] — element count per partial sum of the fixed-block
-//!   parallel reductions (GMRES orthogonalization dots and norms via
-//!   `runtime::par::par_block_sums`). The summation tree is a function
-//!   of the vector length alone, so reductions are bit-identical at any
-//!   pool width.
 
 /// Panel width of the tiled right-looking LU factorization.
 pub const LU_TILE: usize = 48;
@@ -61,9 +56,6 @@ pub const MULTI_RHS_BLOCK: usize = 8;
 /// (formerly the literal `64` repeated in `factor.rs`, `rbf::fd` and
 /// `rbf::operators`).
 pub const PAR_BLOCKS: usize = 64;
-
-/// Elements per partial sum in fixed-block parallel reductions.
-pub const REDUCE_BLOCK: usize = 1024;
 
 /// Dot product with [`SIMD_LANES`] independent accumulators.
 ///

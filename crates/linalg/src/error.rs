@@ -26,15 +26,6 @@ pub enum LinalgError {
         /// Row at which the failure was detected.
         row: usize,
     },
-    /// An iterative solver failed to reach the requested tolerance.
-    NotConverged {
-        /// Solver name, e.g. `"gmres"`.
-        solver: &'static str,
-        /// Iterations actually performed.
-        iterations: usize,
-        /// Final relative residual.
-        residual: f64,
-    },
     /// An unpivoted factorization met a pivot smaller than its threshold
     /// times an entry below it: the operator needs row interchanges.
     UnstablePivot {
@@ -70,14 +61,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { row } => {
                 write!(f, "matrix is not positive definite (detected at row {row})")
             }
-            LinalgError::NotConverged {
-                solver,
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "{solver} did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
             LinalgError::UnstablePivot { pivot, ratio } => write!(
                 f,
                 "unstable pivot at row {pivot}: {ratio:.3e} of an entry below it; \
@@ -113,12 +96,6 @@ mod tests {
             value: 1e-20,
         };
         assert!(e.to_string().contains("pivot 7"));
-        let e = LinalgError::NotConverged {
-            solver: "gmres",
-            iterations: 100,
-            residual: 1e-3,
-        };
-        assert!(e.to_string().contains("gmres"));
         let e = LinalgError::NotPositiveDefinite { row: 2 };
         assert!(e.to_string().contains("row 2"));
         let e = LinalgError::UnstablePivot {

@@ -4,7 +4,8 @@
 //!
 //! Self-contained dense and sparse linear algebra for the `meshfree-oc`
 //! workspace. No BLAS/LAPACK: the point of the reproduction is to own the
-//! whole substrate, so everything from `axpy` to restarted GMRES lives here.
+//! whole substrate, so everything from `axpy` to the sparse direct factors
+//! lives here.
 //!
 //! Contents:
 //!
@@ -17,15 +18,18 @@
 //! * [`Cholesky`] — for symmetric positive definite systems.
 //! * [`Qr`] — Householder QR and least-squares solves.
 //! * [`Csr`] — compressed sparse row matrices with parallel SpMV, used by the
-//!   RBF-FD local-stencil path.
-//! * [`iterative`] — restarted GMRES with simple preconditioners,
-//!   reporting a uniform [`SolveReport`].
-//! * [`envelope`] — [`EnvelopeLu`], the factor-once sparse direct solver:
-//!   identity rows split off, reverse Cuthill–McKee ordering, unpivoted
-//!   envelope LU with a pivot check and a residual check.
+//!   RBF-FD local-stencil path, and [`BlockCsr`], the block form of the
+//!   Navier–Stokes saddle systems.
+//! * [`envelope`] — [`EnvelopeLu`], the sparse direct factor without row
+//!   interchanges (sparse Laplace): identity rows split off, reverse
+//!   Cuthill–McKee ordering, envelope LU with a pivot check and a residual
+//!   check.
+//! * [`band`] — [`BandLu`], the sparse direct factor with partial pivoting
+//!   inside the band (the Navier–Stokes saddle systems): the same split,
+//!   ordering and residual check, then a `gbtrf`-style band LU.
 //! * [`backend`] — the [`LinearBackend`] abstraction unifying dense LU,
-//!   [`EnvelopeLu`] and [`SparseIterative`] (GMRES+ILU0 or the Schur
-//!   saddle preconditioner) behind one solve/transpose-solve contract.
+//!   [`EnvelopeLu`] and [`BandLu`] behind one solve/transpose-solve
+//!   contract.
 //! * [`blocking`] — the unified blocking constants (LU tile, SIMD lane
 //!   count, multi-RHS block, fixed parallel block count) and the
 //!   chunks-of-8 dot kernel shared by every dense hot loop.
@@ -35,24 +39,23 @@
 //! single precision is not viable).
 
 pub mod backend;
+pub mod band;
 pub mod blocking;
 pub mod dense;
 pub mod envelope;
 pub mod error;
 pub mod factor;
-pub mod iterative;
-pub mod saddle;
 pub mod sparse;
+mod split;
 pub mod vector;
 
-pub use backend::{BackendKind, LinearBackend, SparseIterative};
+pub use backend::{BackendKind, LinearBackend};
+pub use band::BandLu;
 pub use dense::DMat;
 pub use envelope::EnvelopeLu;
 pub use error::{LinalgError, Result};
 pub use factor::{Cholesky, Lu, Qr};
-pub use iterative::{gmres, IterOpts, Preconditioner, SolveReport};
-pub use saddle::{BlockCsr, SaddlePrecond};
-pub use sparse::{Csr, Ilu0, Triplets};
+pub use sparse::{BlockCsr, Csr, Triplets};
 pub use vector::DVec;
 
 /// Tolerance used by the crate's own tests when comparing against

@@ -1,12 +1,14 @@
-//! Compressed sparse row (CSR) matrices with parallel SpMV.
+//! Compressed sparse row (CSR) matrices with parallel SpMV, and
+//! [`BlockCsr`], the block form the Navier–Stokes saddle systems are
+//! assembled in.
 //!
 //! The RBF-FD path assembles global differential operators from local
-//! stencils: each row has only `k` (stencil size) nonzeros, so CSR + an
-//! iterative solver replaces the dense global collocation when memory is the
-//! bottleneck (cf. Table 3 of the paper, where dense DP peaks at 45 GB).
+//! stencils: each row has only `k` (stencil size) nonzeros, so CSR + a
+//! sparse direct factor replaces the dense global collocation when memory
+//! is the bottleneck (cf. Table 3 of the paper, where dense DP peaks at
+//! 45 GB).
 
 use crate::dense::DMat;
-use crate::error::{LinalgError, Result};
 use crate::vector::DVec;
 use meshfree_runtime::par;
 
@@ -129,10 +131,9 @@ impl Csr {
         y
     }
 
-    /// [`Csr::matvec`] into a caller-owned buffer — the allocation-free form
-    /// the Krylov inner loops use. Parallel over row chunks for large
-    /// matrices; the result is identical for any thread count (each row is
-    /// an independent dot product).
+    /// [`Csr::matvec`] into a caller-owned buffer. Parallel over row chunks
+    /// for large matrices; the result is identical for any thread count
+    /// (each row is an independent dot product).
     pub fn matvec_into(&self, x: &DVec, out: &mut DVec) {
         assert_eq!(x.len(), self.cols, "spmv: length mismatch");
         assert_eq!(out.len(), self.rows, "spmv: output length mismatch");
@@ -269,6 +270,82 @@ impl Csr {
     }
 }
 
+/// A square block matrix with `nb × nb` sparse blocks of uniform dimension
+/// `n` (total operator dimension `nb·n`).
+///
+/// Blocks are stored row-major ([`BlockCsr::set_block`]`(bi, bj, ...)` is
+/// the block in block-row `bi`, block-column `bj`); a `None` block is an
+/// exact structural zero and costs nothing. The Navier–Stokes Picard and
+/// adjoint systems are `nb = 3` over the stacked unknowns `[u | v | p]`:
+/// global index `bi·n + i` is component `bi` at node `i`.
+#[derive(Debug, Clone)]
+pub struct BlockCsr {
+    n: usize,
+    nb: usize,
+    blocks: Vec<Option<Csr>>,
+}
+
+impl BlockCsr {
+    /// An all-zero block matrix of `nb × nb` blocks, each `n × n`.
+    pub fn new(nb: usize, n: usize) -> BlockCsr {
+        BlockCsr {
+            n,
+            nb,
+            blocks: (0..nb * nb).map(|_| None).collect(),
+        }
+    }
+
+    /// Total operator dimension `nb · n`.
+    pub fn dim(&self) -> usize {
+        self.nb * self.n
+    }
+
+    /// Installs block `(bi, bj)`; panics if the block is not `n × n`.
+    pub fn set_block(&mut self, bi: usize, bj: usize, block: Csr) {
+        assert!(bi < self.nb && bj < self.nb, "block index out of range");
+        assert_eq!(
+            (block.nrows(), block.ncols()),
+            (self.n, self.n),
+            "block ({bi},{bj}) has the wrong shape"
+        );
+        self.blocks[bi * self.nb + bj] = Some(block);
+    }
+
+    /// Block `(bi, bj)`, or `None` for a structural zero.
+    pub fn block(&self, bi: usize, bj: usize) -> Option<&Csr> {
+        self.blocks[bi * self.nb + bj].as_ref()
+    }
+
+    /// Total stored nonzeros across all blocks.
+    pub fn nnz(&self) -> usize {
+        self.blocks.iter().flatten().map(|b| b.nnz()).sum()
+    }
+
+    /// Composes the blocks into one monolithic `nb·n × nb·n` CSR matrix
+    /// (global row `bi·n + i`, global column `bj·n + j`).
+    ///
+    /// Row-by-row concatenation: block columns are visited in increasing
+    /// `bj`, so the output inherits sorted column order from the blocks and
+    /// the construction is deterministic (no thread-count dependence).
+    pub fn flatten(&self) -> Csr {
+        let dim = self.dim();
+        let mut t = Triplets::new(dim, dim);
+        for bi in 0..self.nb {
+            for i in 0..self.n {
+                for bj in 0..self.nb {
+                    if let Some(b) = self.block(bi, bj) {
+                        let (cols, vals) = b.row(i);
+                        for (&j, &v) in cols.iter().zip(vals) {
+                            t.push(bi * self.n + i, bj * self.n + j, v);
+                        }
+                    }
+                }
+            }
+        }
+        t.to_csr()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +453,7 @@ mod tests {
     #[test]
     fn duplicates_summing_to_zero_keep_the_pattern_entry() {
         // Cancellation must not silently change the sparsity pattern —
-        // ILU(0) and `set` rely on the pattern surviving.
+        // `set` relies on the pattern surviving.
         let mut t = Triplets::new(2, 2);
         t.push(0, 1, 4.0);
         t.push(0, 1, -4.0);
@@ -449,6 +526,42 @@ mod tests {
         assert_eq!(a.nnz(), 3, "scaling must not change the pattern");
     }
 
+    #[test]
+    fn flatten_matches_dense_block_placement() {
+        let n = 6;
+        let tri = |d: f64| {
+            let mut t = Triplets::new(n, n);
+            for i in 0..n {
+                t.push(i, i, d);
+                if i + 1 < n {
+                    t.push(i, i + 1, -1.0);
+                    t.push(i + 1, i, 0.5);
+                }
+            }
+            t.to_csr()
+        };
+        let mut k = BlockCsr::new(3, n);
+        k.set_block(0, 0, tri(2.3));
+        k.set_block(1, 1, tri(2.7));
+        k.set_block(0, 2, tri(0.0));
+        k.set_block(2, 1, tri(1.0));
+        k.set_block(2, 2, Csr::eye(n));
+        let flat = k.flatten();
+        assert_eq!(flat.nrows(), 3 * n);
+        let dense = flat.to_dense();
+        for bi in 0..3 {
+            for bj in 0..3 {
+                for i in 0..n {
+                    for j in 0..n {
+                        let expect = k.block(bi, bj).map_or(0.0, |b| b.to_dense()[(i, j)]);
+                        assert_eq!(dense[(bi * n + i, bj * n + j)], expect);
+                    }
+                }
+            }
+        }
+        assert_eq!(flat.nnz(), k.nnz());
+    }
+
     /// Property tests need the proptest engine; enable with
     /// `--features proptest`.
     #[cfg(feature = "proptest")]
@@ -491,228 +604,5 @@ mod tests {
                 prop_assert!(diff.norm2() < 1e-12);
             }
         }
-    }
-}
-
-/// Incomplete LU factorization with zero fill-in (ILU(0)): `L` and `U`
-/// share the sparsity pattern of the input matrix. Used as a GMRES
-/// preconditioner for the RBF-FD operators, whose stencil-based patterns
-/// make ILU(0) markedly stronger than Jacobi.
-#[derive(Debug, Clone)]
-pub struct Ilu0 {
-    /// Factored values on the original pattern (unit lower / upper).
-    lu: Csr,
-}
-
-impl Ilu0 {
-    /// Computes the factorization. Errors with
-    /// [`LinalgError::SingularMatrix`] (carrying the failing pivot) if a
-    /// pivot vanishes, or [`LinalgError::ShapeMismatch`] for a non-square
-    /// input. Solver code that wants the graceful Jacobi fallback should go
-    /// through [`crate::Preconditioner::ilu0_from`] — the single documented
-    /// construction path.
-    pub fn factor(a: &Csr) -> Result<Ilu0> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "ilu0",
-                got: (n, a.ncols()),
-                expected: (n, n),
-            });
-        }
-        let singular = |pivot: usize, value: f64| LinalgError::SingularMatrix {
-            pivot,
-            value: value.abs(),
-        };
-        let mut lu = a.clone();
-        // Gaussian elimination restricted to the existing pattern (IKJ).
-        for i in 0..n {
-            // Gather row i's columns for fast lookup.
-            let (cols_i, _) = lu.row(i);
-            let cols_i: Vec<usize> = cols_i.to_vec();
-            for &k in &cols_i {
-                if k >= i {
-                    break; // columns are sorted: only k < i eliminate
-                }
-                // Pivot U[k][k].
-                let ukk = lu.get(k, k).ok_or_else(|| singular(k, 0.0))?;
-                if ukk.abs() < 1e-300 {
-                    return Err(singular(k, ukk));
-                }
-                let factor = lu.get(i, k).expect("k is in row i's pattern") / ukk;
-                lu.set(i, k, factor);
-                // Row update within the pattern of row i.
-                let (k_cols, k_vals): (Vec<usize>, Vec<f64>) = {
-                    let (c, v) = lu.row(k);
-                    (c.to_vec(), v.to_vec())
-                };
-                for (&j, &ukj) in k_cols.iter().zip(&k_vals) {
-                    if j > k {
-                        if let Some(aij) = lu.get(i, j) {
-                            lu.set(i, j, aij - factor * ukj);
-                        }
-                    }
-                }
-            }
-        }
-        // Sanity: diagonal pivots present and nonzero.
-        for i in 0..n {
-            match lu.get(i, i) {
-                Some(d) if d.abs() > 1e-300 => {}
-                other => return Err(singular(i, other.unwrap_or(0.0))),
-            }
-        }
-        Ok(Ilu0 { lu })
-    }
-
-    /// Applies `z = (LU)⁻¹ r` via the two triangular sweeps.
-    pub fn solve(&self, r: &DVec) -> DVec {
-        let mut y = DVec::zeros(r.len());
-        self.solve_into(r, &mut y);
-        y
-    }
-
-    /// [`Ilu0::solve`] into a caller-owned buffer (allocation-free; `out`
-    /// must have the same length as `r`).
-    pub fn solve_into(&self, r: &DVec, out: &mut DVec) {
-        let n = self.lu.nrows();
-        assert_eq!(r.len(), n, "ilu0 solve: length mismatch");
-        assert_eq!(out.len(), n, "ilu0 solve: output length mismatch");
-        let y = out;
-        y.as_mut_slice().copy_from_slice(r);
-        // Forward: L (unit diagonal) stored strictly below the diagonal.
-        for i in 0..n {
-            let (cols, vals) = self.lu.row(i);
-            let mut s = y[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j < i {
-                    s -= v * y[j];
-                }
-            }
-            y[i] = s;
-        }
-        // Backward: U on/above the diagonal.
-        for i in (0..n).rev() {
-            let (cols, vals) = self.lu.row(i);
-            let mut s = y[i];
-            let mut diag = 1.0;
-            for (&j, &v) in cols.iter().zip(vals) {
-                if j > i {
-                    s -= v * y[j];
-                } else if j == i {
-                    diag = v;
-                }
-            }
-            y[i] = s / diag;
-        }
-    }
-
-    /// Bytes held by the factored values/indices.
-    pub fn memory_bytes(&self) -> usize {
-        self.lu.nnz() * (8 + std::mem::size_of::<usize>())
-            + (self.lu.nrows() + 1) * std::mem::size_of::<usize>()
-    }
-}
-
-#[cfg(test)]
-mod ilu_tests {
-    use super::*;
-
-    fn poisson_1d(n: usize) -> Csr {
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 2.0);
-            if i > 0 {
-                t.push(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                t.push(i, i + 1, -1.0);
-            }
-        }
-        t.to_csr()
-    }
-
-    #[test]
-    fn ilu0_is_exact_for_tridiagonal_matrices() {
-        // A tridiagonal matrix has no fill-in, so ILU(0) = LU exactly.
-        let n = 40;
-        let a = poisson_1d(n);
-        let f = Ilu0::factor(&a).unwrap();
-        let b = DVec::from_fn(n, |i| (i as f64 * 0.3).sin());
-        let x = f.solve(&b);
-        let r = &a.matvec(&x) - &b;
-        assert!(r.norm2() < 1e-12 * b.norm2(), "residual {}", r.norm2());
-    }
-
-    #[test]
-    fn ilu0_preconditioning_accelerates_gmres() {
-        use crate::iterative::{gmres, IterOpts, Preconditioner};
-        // 2-D Poisson (5-point) — ILU(0) is approximate but much stronger
-        // than Jacobi.
-        let m = 20;
-        let n = m * m;
-        let mut t = Triplets::new(n, n);
-        for i in 0..m {
-            for j in 0..m {
-                let k = i * m + j;
-                t.push(k, k, 4.0);
-                if i > 0 {
-                    t.push(k, k - m, -1.0);
-                }
-                if i + 1 < m {
-                    t.push(k, k + m, -1.0);
-                }
-                if j > 0 {
-                    t.push(k, k - 1, -1.0);
-                }
-                if j + 1 < m {
-                    t.push(k, k + 1, -1.0);
-                }
-            }
-        }
-        let a = t.to_csr();
-        let b = DVec::full(n, 1.0);
-        let opts = IterOpts::gmres().tol(1e-10);
-        let plain = gmres(&a, &b, &Preconditioner::jacobi_from(&a), &opts).unwrap();
-        let ilu = gmres(&a, &b, &Preconditioner::ilu0_from(&a), &opts).unwrap();
-        assert!(
-            ilu.iterations < plain.iterations,
-            "ILU(0) {} should beat Jacobi {}",
-            ilu.iterations,
-            plain.iterations
-        );
-        assert!((&a.matvec(&ilu.x) - &b).norm2() < 1e-8 * b.norm2());
-    }
-
-    #[test]
-    fn factor_rejects_structurally_singular_matrices() {
-        // Zero diagonal entry in the pattern: the error names the pivot.
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        assert!(matches!(
-            Ilu0::factor(&t.to_csr()),
-            Err(crate::LinalgError::SingularMatrix { .. })
-        ));
-    }
-
-    #[test]
-    fn factor_rejects_non_square_matrices() {
-        let t = Triplets::new(2, 3);
-        assert!(matches!(
-            Ilu0::factor(&t.to_csr()),
-            Err(crate::LinalgError::ShapeMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_into_matches_solve() {
-        let a = poisson_1d(17);
-        let f = Ilu0::factor(&a).unwrap();
-        let r = DVec::from_fn(17, |i| (i as f64 * 0.4).cos());
-        let z = f.solve(&r);
-        let mut z2 = DVec::zeros(17);
-        f.solve_into(&r, &mut z2);
-        assert_eq!(z.as_slice(), z2.as_slice());
     }
 }

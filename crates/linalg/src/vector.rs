@@ -68,30 +68,6 @@ impl DVec {
         self.dot(self).sqrt()
     }
 
-    /// Euclidean inner product through the pool: the vector is cut into
-    /// fixed [`crate::blocking::REDUCE_BLOCK`]-element blocks whose
-    /// [`crate::blocking::dot8`] partials are summed in block order, so
-    /// the bits depend only on the length — never the pool width. GMRES
-    /// runs its Arnoldi orthogonalization on this.
-    ///
-    /// Not a drop-in replacement for [`DVec::dot`]: the blocked summation
-    /// order differs from the sequential one, so swapping them changes
-    /// results at ulp scale. Panics on length mismatch.
-    pub fn par_dot(&self, other: &DVec) -> f64 {
-        assert_eq!(self.len(), other.len(), "par_dot: length mismatch");
-        meshfree_runtime::par::par_block_sums(
-            self.len(),
-            crate::blocking::REDUCE_BLOCK,
-            |lo, hi| crate::blocking::dot8(&self.0[lo..hi], &other.0[lo..hi]),
-        )
-    }
-
-    /// Euclidean norm via [`DVec::par_dot`]; same fixed-block determinism
-    /// contract, same ulp-scale difference from [`DVec::norm2`].
-    pub fn par_norm2(&self) -> f64 {
-        self.par_dot(self).sqrt()
-    }
-
     /// 1-norm (sum of absolute values).
     pub fn norm1(&self) -> f64 {
         self.0.iter().map(|x| x.abs()).sum()

@@ -9,8 +9,8 @@
 //! * **Sparse** ([`BackendKind::SparseGmres`]): RBF-FD local-stencil
 //!   operators assembled **directly into per-block CSR matrices** — the
 //!   dense `(3N)²` matrix is never materialised. The blocks compose into a
-//!   [`BlockCsr`] saddle-point operator solved by GMRES with a
-//!   SIMPLE-style block preconditioner ([`linalg::SaddlePrecond`]).
+//!   [`BlockCsr`] saddle-point operator, flattened and factored once per
+//!   sweep by [`BandLu`] (RCM ordering, partial pivoting inside the band).
 //!
 //! Both assemble the same coupled (u, v, p) saddle-point structure,
 //! re-linearised around the current state (Picard iteration on the
@@ -25,8 +25,8 @@
 //! with `C(u,v) = u∂x + v∂y` frozen at the previous iterate. Each Picard
 //! step is one "refinement" — the paper's `k` (3 for DAL, 10 for DP), the
 //! quantity whose growth drives DP's memory super-linearity (every
-//! refinement caches a `(3N)²` LU on the DP tape; the sparse path caches a
-//! CSR operator plus an ILU(0)-based block preconditioner instead).
+//! refinement caches a `(3N)²` LU on the DP tape; the sparse path caches
+//! one band factor of the RCM-ordered operator instead).
 //!
 //! Boundary conditions: Dirichlet `u = c(y)` at the inflow (the control),
 //! no-slip walls, blowing/suction slot profiles for `v`, and fully
@@ -41,8 +41,7 @@
 use geometry::generators::{channel_cloud, channel_tags, ChannelConfig};
 use geometry::{quadrature, NodeSet};
 use linalg::{
-    BackendKind, BlockCsr, Csr, DMat, DVec, IterOpts, LinalgError, LinearBackend, Lu,
-    SparseIterative, Triplets,
+    BackendKind, BandLu, BlockCsr, Csr, DMat, DVec, LinalgError, LinearBackend, Lu, Triplets,
 };
 use meshfree_runtime::trace;
 use rbf::fd::{fd_matrices_multi, FdConfig, StencilSet};
@@ -75,9 +74,9 @@ pub struct NsConfig {
     /// the byte-identical global-collocation + dense-LU path;
     /// [`BackendKind::SparseGmres`] switches the *discretisation* to
     /// RBF-FD local stencils, assembles per-block CSR operators (the dense
-    /// `(3N)²` matrix is never built) and solves the saddle system with
-    /// Schur-preconditioned GMRES, reporting iteration counts on the
-    /// `"linsolve"` trace layer under the `gmres_schur` label.
+    /// `(3N)²` matrix is never built) and factors each saddle system with
+    /// [`BandLu`], reporting its solves on the `"linsolve"` trace layer
+    /// under the `band_lu` / `band_lu_t` labels.
     pub backend: BackendKind,
 }
 
@@ -131,7 +130,8 @@ impl NsState {
 
 /// Reusable scratch for repeated Picard sweeps: the coupled `(3N)²` matrix
 /// (dense mode only — the sparse mode keeps it `0 × 0`), its LU
-/// factorisation storage, and the linear-solve output buffer.
+/// factorisation storage (dense mode only), and the linear-solve output
+/// buffer.
 ///
 /// Created by [`NsSolver::workspace`]; consumed by [`NsSolver::refine_with`]
 /// and [`NsSolver::solve_with`]. Reuse across sweeps (and across optimizer
@@ -141,10 +141,6 @@ impl NsState {
 pub struct NsWorkspace {
     pub(crate) a: DMat,
     pub(crate) lu: Option<Lu>,
-    /// Sparse saddle engine (Schur-preconditioned GMRES) when the solver's
-    /// backend is [`BackendKind::SparseGmres`]; its refactor path recycles
-    /// the engine slot the way [`Lu::refactor`] recycles the factor.
-    pub(crate) engine: Option<SparseIterative>,
     pub(crate) x: DVec,
 }
 
@@ -176,8 +172,8 @@ pub struct NsSparseOps {
     pub a_v0: Csr,
     /// The `(p,p)` block: identity at the outflow (`p = 0`), `n·∇` rows on
     /// the other boundaries (`∂p/∂n = 0`), structurally **empty** interior
-    /// rows — the saddle preconditioner's Schur approximation fills that
-    /// diagonal (see [`linalg::SaddlePrecond`]).
+    /// rows — which is why the saddle systems need row interchanges
+    /// ([`BandLu`]).
     pub a_p: Csr,
     /// `3N × 3N` advection structure matrix for the taped DP path:
     /// `dx_int` embedded in the `(u,u)` and `(v,v)` blocks (see
@@ -706,8 +702,8 @@ impl NsSolver {
     /// buffer are allocated once and recycled by [`NsSolver::refine_with`]
     /// / [`NsSolver::solve_with`] — the Jacobian sparsity *pattern* is
     /// fixed even though the advection entries change every sweep. Sparse
-    /// mode: the matrix buffer stays `0 × 0` and the workspace carries the
-    /// saddle GMRES engine instead.
+    /// mode: the matrix buffer stays `0 × 0`; each sweep factors its own
+    /// [`BandLu`].
     pub fn workspace(&self) -> NsWorkspace {
         let n3 = match &self.disc {
             Disc::Dense(_) => 3 * self.nodes.len(),
@@ -716,7 +712,6 @@ impl NsSolver {
         NsWorkspace {
             a: DMat::zeros(n3, n3),
             lu: None,
-            engine: None,
             x: DVec::zeros(0),
         }
     }
@@ -741,36 +736,17 @@ impl NsSolver {
     }
 
     /// Solves the block-CSR saddle system `blocks · x = b` into `ws.x`
-    /// through the workspace's Schur-preconditioned GMRES engine,
-    /// (re)building the preconditioner from the current blocks. Iteration
-    /// counts and residuals appear on the `"linsolve"` trace layer under
-    /// the `gmres_schur` label.
+    /// with one [`BandLu`] factor of the flattened operator. The factor
+    /// traces as the `band_lu_factor` span, the solve as a `band_lu` event
+    /// on the `"linsolve"` layer.
     pub(crate) fn solve_saddle(
         &self,
         ws: &mut NsWorkspace,
         blocks: &BlockCsr,
         b: &DVec,
     ) -> Result<(), LinalgError> {
-        match &mut ws.engine {
-            Some(e) => e.refactor_saddle(blocks),
-            slot => {
-                *slot = Some(SparseIterative::gmres_saddle(blocks, Self::sparse_opts()));
-            }
-        }
-        let engine = ws.engine.as_ref().expect("engine populated above");
-        ws.x = engine.solve(b)?;
+        ws.x = BandLu::factor(&blocks.flatten())?.solve(b)?;
         Ok(())
-    }
-
-    /// GMRES settings for the sparse coupled solves: tight tolerance so the
-    /// backend-equivalence contract (≤1e-8 relative vs a dense LU of the
-    /// *same* saddle operator) holds through a full Picard sweep.
-    pub fn sparse_opts() -> IterOpts {
-        // Restart 200: the coupled saddle spectrum stalls restarted GMRES
-        // at shorter cycles once the cloud passes the dense ceiling
-        // (observed: restart 100 stagnates near 1e-5 at h ≈ 0.09 while 200
-        // converges to tolerance in a fraction of the iteration budget).
-        IterOpts::gmres().max_iter(9000).tol(1e-12).restart(200)
     }
 
     /// Assembles the coupled Picard matrix for the advecting field taken
@@ -859,8 +835,8 @@ impl NsSolver {
     /// [`NsSolver::refine`] against a reusable workspace: dense mode
     /// assembles into `ws` and refactors in place ([`Lu::refactor`]), so a
     /// sweep of `k` refinements performs zero `(3N)²` allocations after the
-    /// first; sparse mode assembles the block-CSR operator and refreshes
-    /// the saddle GMRES engine. Produces the same result as
+    /// first; sparse mode assembles the block-CSR operator and factors it
+    /// with [`BandLu`]. Produces the same result as
     /// [`NsSolver::refine`].
     pub fn refine_with(
         &self,
@@ -1042,8 +1018,9 @@ mod tests {
     fn saddle_engine_matches_dense_lu_on_the_same_sparse_system() {
         // Same-system backend equivalence: flatten the block operator the
         // sparse engine solves and hand it to dense LU — the two solutions
-        // of the *identical* matrix must agree to ≤1e-8 relative. (The
-        // (3N)² densification happens only here, in the test.)
+        // of the *identical* matrix must agree to ≤1e-12 relative, as two
+        // direct solves do. (The (3N)² densification happens only here, in
+        // the test.)
         let mut cfg = small_cfg(50.0);
         cfg.channel.h = 0.2;
         cfg.backend = BackendKind::SparseGmres;
@@ -1060,7 +1037,44 @@ mod tests {
         let st1 = s.refine_with(&state, &c, &mut ws).unwrap();
         // Default damping is 1, so the refined state is the raw solution.
         let rel = (&st1.stack() - &xd).norm2() / xd.norm2().max(1e-300);
-        assert!(rel < 1e-8, "saddle GMRES vs dense LU: rel = {rel:.3e}");
+        assert!(rel < 1e-12, "saddle band LU vs dense LU: rel = {rel:.3e}");
+    }
+
+    #[test]
+    fn band_lu_matches_dense_lu_on_the_saddle_system_that_needs_interchanges() {
+        // The h = 0.18 Picard operator: its interior continuity rows have
+        // no pressure diagonal, so the unpivoted envelope factor refuses
+        // it and the band factor must pivot.
+        let s = NsSolver::new(NsConfig {
+            channel: ChannelConfig {
+                h: 0.18,
+                ..Default::default()
+            },
+            re: 40.0,
+            slot_velocity: 0.2,
+            backend: BackendKind::SparseGmres,
+            ..Default::default()
+        })
+        .unwrap();
+        let c = DVec::from_fn(s.n_controls(), |i| 0.1 + 0.02 * i as f64);
+        let a = s.picard_blocks(&s.initial_state(&c)).flatten();
+        assert!(matches!(
+            linalg::EnvelopeLu::factor(&a),
+            Err(LinalgError::UnstablePivot { .. })
+        ));
+        let band = BandLu::factor(&a).unwrap();
+        let lu = Lu::factor(&a.to_dense()).unwrap();
+        let b = s.rhs(&c);
+        let rel = |x: DVec, y: DVec| (&x - &y).norm_inf() / y.norm_inf();
+        let fwd = rel(band.solve(&b).unwrap(), lu.solve(&b).unwrap());
+        let adj = rel(
+            band.solve_transpose(&b).unwrap(),
+            lu.solve_transpose(&b).unwrap(),
+        );
+        assert!(
+            fwd <= 1e-12 && adj <= 1e-12,
+            "forward {fwd:.2e}, transpose {adj:.2e}"
+        );
     }
 
     #[test]

@@ -198,10 +198,10 @@ impl<'s> NsAdjoint<'s> {
     /// [`NsAdjoint::solve_adjoint`] against a reusable workspace. The
     /// adjoint matrix shares the forward system's shape and storage needs, so
     /// the *same* [`NsWorkspace`] serves the Picard sweeps and the adjoint
-    /// solve: assembly writes over the matrix buffer and the configured
-    /// backend (dense LU refactor or sparse Schur-preconditioned GMRES
-    /// refresh) recycles its storage. Produces the same adjoint fields as
-    /// the allocating path.
+    /// solve: dense mode assembles over the matrix buffer and refactors the
+    /// LU in place; sparse mode factors the flattened block operator with
+    /// [`linalg::BandLu`]. Produces the same adjoint fields as the
+    /// allocating path.
     pub fn solve_adjoint_with(
         &self,
         state: &NsState,

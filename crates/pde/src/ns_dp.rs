@@ -11,8 +11,8 @@
 //! `A₀ + diag(s_u)·C_x + diag(s_v)·C_y` (CSR structure matrices from
 //! [`NsSolver::advection_structs`]); it is assembled *untaped* for the
 //! current iterate — densely into one reused `(3N)²` buffer and LU-factored
-//! under [`linalg::BackendKind::DenseLu`], as block CSR behind
-//! Schur-preconditioned GMRES under [`linalg::BackendKind::SparseGmres`].
+//! under [`linalg::BackendKind::DenseLu`], as block CSR flattened into one
+//! [`linalg::BandLu`] under [`linalg::BackendKind::SparseGmres`].
 //! The reverse sweep does one transpose solve per refinement and contracts
 //! `Ā = −s xᵀ` against `C_x`, `C_y` without forming it.
 //!
@@ -22,12 +22,14 @@
 //! cost-vs-`k` behaviour the paper reports for DP in Table 3 and §4 ("DP
 //! as conceived in this study can be memory inefficient due to storage …
 //! of a computational graph"). No `(3N)²` intermediate or adjoint is
-//! recorded beyond the factors.
+//! recorded beyond the factors. Under `SparseGmres` the node keeps one band
+//! factor per refinement instead, so sparse tape memory is linear in `k`
+//! as well, at a fraction of the dense factor's size.
 
 use crate::ns::{NsSolver, NsState};
 use autodiff::tensor::{self, Tensor};
 use autodiff::Tape;
-use linalg::{BackendKind, DMat, DVec, LinalgError, LinearBackend, Lu, SparseIterative};
+use linalg::{BackendKind, BandLu, DMat, DVec, LinalgError, LinearBackend, Lu};
 use std::sync::Arc;
 
 /// Statistics captured from the DP tape — feeds the Table 3 reproduction.
@@ -149,10 +151,9 @@ impl<'s> NsDp<'s> {
                     s.picard_matrix_into(&state_now, &mut ws.a);
                     Arc::new(Lu::factor(&ws.a)?)
                 }
-                BackendKind::SparseGmres => Arc::new(SparseIterative::gmres_saddle(
-                    &s.picard_blocks(&state_now),
-                    NsSolver::sparse_opts(),
-                )),
+                BackendKind::SparseGmres => {
+                    Arc::new(BandLu::factor(&s.picard_blocks(&state_now).flatten())?)
+                }
             };
             let x_new = tape.solve_scaled(&be, &[su, sv], &structs, rhs)?;
             x = x.scale(1.0 - w).add(x_new.scale(w));

@@ -409,7 +409,7 @@ mod tests {
     use super::*;
     use geometry::generators::{unit_square_grid, unit_square_scattered, BoundaryClass};
     use geometry::NodeKind;
-    use linalg::{gmres, IterOpts, Preconditioner};
+    use linalg::{EnvelopeLu, LinearBackend};
 
     fn all_dirichlet(p: Point2) -> BoundaryClass {
         let normal = if p.y == 0.0 {
@@ -561,18 +561,12 @@ mod tests {
         for i in ns.boundary_indices() {
             b[i] = g(ns.point(i));
         }
-        let res = gmres(
-            &a,
-            &b,
-            &Preconditioner::jacobi_from(&a),
-            &IterOpts::gmres().max_iter(4000).tol(1e-11).restart(60),
-        )
-        .unwrap();
+        let x = EnvelopeLu::factor(&a).unwrap().solve(&b).unwrap();
         for i in 0..n {
             assert!(
-                (res.x[i] - g(ns.point(i))).abs() < 1e-6,
+                (x[i] - g(ns.point(i))).abs() < 1e-6,
                 "node {i}: {} vs {}",
-                res.x[i],
+                x[i],
                 g(ns.point(i))
             );
         }

@@ -40,8 +40,8 @@ pub use cancel::CancelToken;
 pub use config::RuntimeConfig;
 pub use framing::{JsonlAppender, LineFault};
 pub use par::{
-    num_threads, par_block_sums, par_chunks_mut, par_for, par_map_collect, par_map_collect_with,
-    serial_scope, with_pool, ThreadPool,
+    num_threads, par_chunks_mut, par_for, par_map_collect, par_map_collect_with, serial_scope,
+    with_pool, ThreadPool,
 };
 pub use rng::Rng64;
 pub use stats::{time_kernel, SpanStats};

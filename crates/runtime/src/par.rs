@@ -325,38 +325,6 @@ where
     with_current(|p| p.par_map_collect(n, f))
 }
 
-/// Sums `f(lo, hi)` over a *fixed-block* partition of `0..n`: the range is
-/// cut into consecutive blocks of exactly `block` indices (the last one
-/// ragged), each block's partial is computed independently (in parallel
-/// across the current pool when there is more than one block), and the
-/// partials are added **in block order** on the calling thread.
-///
-/// This is the determinism contract for parallel reductions: the block
-/// decomposition and the final summation order depend only on `n` and
-/// `block`, never on the pool width, so the result is bit-identical at any
-/// thread count — including the forced-serial [`serial_scope`] baseline,
-/// which computes the same partials in the same order inline. The parallel
-/// GMRES orthogonalization reductions in `linalg` ride this helper.
-pub fn par_block_sums<F>(n: usize, block: usize, f: F) -> f64
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    assert!(block > 0, "reduction block size must be positive");
-    if n == 0 {
-        return 0.0;
-    }
-    let blocks = n.div_ceil(block);
-    if blocks == 1 {
-        return f(0, n);
-    }
-    let partials = par_map_collect(blocks, |c| {
-        let lo = c * block;
-        f(lo, (lo + block).min(n))
-    });
-    // Fixed left-to-right summation of the per-block partials.
-    partials.into_iter().sum()
-}
-
 /// [`par_map_collect`] with a reusable per-chunk workspace: `init()` runs
 /// once per claimed chunk and the workspace is threaded through every
 /// `f(&mut w, i)` in that chunk. Use this when each element needs scratch
@@ -624,33 +592,6 @@ mod tests {
         assert_eq!(got, (0..n).map(|i| i * 2).collect::<Vec<_>>());
         // One workspace per claimed chunk, far fewer than one per element.
         assert!(inits.load(Ordering::Relaxed) <= 4 * CHUNKS_PER_THREAD);
-    }
-
-    #[test]
-    fn block_sums_are_pool_width_invariant() {
-        let n = 10_007;
-        let block = 256;
-        let term = |i: usize| (i as f64 * 0.61).sin() / (1.0 + i as f64);
-        let partial = |lo: usize, hi: usize| (lo..hi).map(term).sum::<f64>();
-        let want = serial_scope(|| par_block_sums(n, block, partial));
-        for threads in [1usize, 2, 8] {
-            let pool = Arc::new(ThreadPool::new(threads));
-            let got = with_pool(&pool, || par_block_sums(n, block, partial));
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "pool size {threads} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn block_sums_edge_cases() {
-        assert_eq!(par_block_sums(0, 8, |_, _| panic!("must not run")), 0.0);
-        // Single block: computed inline, no partial vector.
-        assert_eq!(par_block_sums(5, 8, |lo, hi| (hi - lo) as f64), 5.0);
-        // Ragged tail block.
-        assert_eq!(par_block_sums(10, 4, |lo, hi| (hi - lo) as f64), 10.0);
     }
 
     #[test]

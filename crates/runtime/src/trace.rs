@@ -12,7 +12,7 @@
 //! trace::set_sink(Box::new(sink));
 //! {
 //!     let _g = meshfree_runtime::span!("assemble");
-//!     trace::solve_event("linear", "gmres", 3, 1.0e-9, f64::NAN, f64::NAN);
+//!     trace::solve_event("linsolve", "band_lu", 0, f64::NAN, f64::NAN, f64::NAN);
 //! }
 //! trace::clear_sink();
 //! assert_eq!(events.lock().unwrap().len(), 2);
@@ -23,13 +23,13 @@
 //! ```json
 //! {"type":"span","name":"lu_factor","micros":1234}
 //! {"type":"counter","name":"run_peak_bytes","value":1048576.0}
-//! {"type":"solve","layer":"linear","solver":"gmres","iter":7,
+//! {"type":"solve","layer":"pde","solver":"ns_picard","iter":7,
 //!  "residual":2.3e-10,"cost":null,"grad_norm":null}
 //! ```
 //!
-//! `layer` is one of `"linear"` (Krylov iterations), `"pde"` (nonlinear
-//! refinement / mesh-free solve loops), or `"control"` (optimizer
-//! iterations of the DAL/DP/PINN drivers).
+//! `layer` is one of `"linsolve"` (one event per sparse backend solve),
+//! `"pde"` (nonlinear refinement / mesh-free solve loops), or `"control"`
+//! (optimizer iterations of the DAL/DP/PINN drivers).
 
 use std::fmt::Write as _;
 use std::fs::File;
@@ -45,8 +45,8 @@ use std::time::Instant;
 pub struct SolveEvent {
     /// Iteration index within the loop.
     pub iter: usize,
-    /// Residual norm (relative for Krylov solvers, increment norm for
-    /// Picard refinement).
+    /// Residual norm (increment norm for Picard refinement; NaN where a
+    /// solver has none).
     pub residual: f64,
     /// Objective value (control layer).
     pub cost: f64,
@@ -76,7 +76,7 @@ pub enum TraceEvent {
     Solve {
         /// Emitting layer (`"linalg"`, `"pde"`, `"control"`, …).
         layer: &'static str,
-        /// Solver name within the layer (e.g. `"gmres"`, `"ns_picard"`).
+        /// Solver name within the layer (e.g. `"band_lu"`, `"ns_picard"`).
         solver: &'static str,
         /// Per-iteration quantities.
         event: SolveEvent,

@@ -34,7 +34,7 @@ fn neural_op_audit_gap(ledger: &Path, spec_id: &str) -> f64 {
 
 /// An 8-spec campaign — three synthetic, one injected NaN-diverging spec,
 /// one real Laplace run on the sparse RBF-FD backend, one sparse-NS
-/// run on the RBF-FD saddle + Schur-GMRES path, one second-order
+/// run on the RBF-FD saddle + band LU path, one second-order
 /// (Newton-CG) Laplace DAL run, and one amortized (neural-op) Laplace
 /// run; used by CI to prove the retry path, the non-default backend
 /// plumbing (for both PDEs), the optimizer selection and the surrogate
@@ -76,9 +76,8 @@ fn run_smoke() {
             .build(),
     );
     // One sparse Navier–Stokes spec: the RBF-FD saddle assembly and the
-    // Schur-preconditioned GMRES engine behind `BackendKind::SparseGmres`
-    // on the coupled problem, again sized for plumbing rather than
-    // physics.
+    // per-sweep band LU behind `BackendKind::SparseGmres` on the coupled
+    // problem, again sized for plumbing rather than physics.
     campaign = campaign.spec(
         RunSpec::navier_stokes()
             .resolution(0.2)

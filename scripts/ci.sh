@@ -67,7 +67,7 @@ fi
 echo "==> campaign driver smoke (retry path, fault injection)"
 # An 8-spec campaign with one injected NaN-diverging spec, one Laplace run
 # on the sparse RBF-FD backend (envelope LU), one Navier–Stokes run on the RBF-FD
-# saddle + Schur-GMRES backend, one second-order (Newton-CG DAL) Laplace
+# saddle backend (band LU per sweep), one second-order (Newton-CG DAL) Laplace
 # run, and one amortized (neural-op surrogate) Laplace run: the example
 # asserts exactly one spec was retried, none were lost, and the neural-op
 # ledger record's audit gap |final - penultimate cost| / final is at most

@@ -3,11 +3,16 @@
 #
 # Usage: scripts/net_lines.sh <base-rev>
 #
-# For every tracked *.rs file outside a tests/ directory, counts the lines
-# before its first `#[cfg(test)]` (in-file unit tests are not counted), at
-# <base-rev> and in the working tree, and prints the difference per crate
-# (crates/<name>/...) or top-level directory, then the total. Negative
-# means lines were removed.
+# For every tracked *.rs file outside a tests/ directory, counts its lines
+# except the items gated by `#[cfg(test)]` (in-file unit tests are not
+# counted), at <base-rev> and in the working tree, and prints the
+# difference per crate (crates/<name>/...) or top-level directory, then the
+# total. Negative means lines were removed.
+#
+# A `#[cfg(test)]` item runs from the attribute to the `}` that closes its
+# first `{` (or to its `;` if it has no body), found by brace matching
+# with string and char literals and `//` comments blanked out. Code after
+# a test module is counted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 base=${1:?usage: scripts/net_lines.sh <base-rev>}
@@ -16,7 +21,25 @@ git rev-parse -q --verify "$base^{commit}" >/dev/null || {
     exit 2
 }
 
-non_test() { awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'; }
+read -r -d '' NON_TEST <<'AWK' || true
+skip == 0 && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0 }
+skip == 0 { n++; next }
+{
+    line = $0
+    gsub(/"([^"\\]|\\.)*"/, "", line)
+    gsub(/'(\\.|[^\\'])'/, "", line)
+    sub(/\/\/.*/, "", line)
+    for (i = 1; i <= length(line); i++) {
+        c = substr(line, i, 1)
+        if (c == "{") { depth++; opened = 1 }
+        else if (c == "}") { depth-- }
+        else if (c == ";" && !opened && depth == 0) { skip = 0; break }
+        if (opened && depth == 0) { skip = 0; break }
+    }
+}
+END { print n + 0 }
+AWK
+non_test() { awk "$NON_TEST"; }
 group() {
     case $1 in
         crates/*) cut -d/ -f2 <<<"$1" ;;

@@ -8,7 +8,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`linalg`] — dense/sparse linear algebra (LU, QR, Cholesky, CSR,
-//!   GMRES) built without BLAS.
+//!   sparse envelope and band LU) built without BLAS.
 //! * [`autodiff`] — forward-mode duals and the reverse-mode tensor tape
 //!   with a differentiable linear solve (the JAX substitute).
 //! * [`geometry`] — node clouds, generators (incl. the GMSH-substitute

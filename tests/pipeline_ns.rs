@@ -122,7 +122,7 @@ fn picard_solve_is_deterministic_across_thread_counts() {
     // forces every `par_*` call through the inline serial path — exactly
     // what `MESHFREE_THREADS=1` runs. Chunk boundaries in the runtime are
     // thread-count-invariant, so the full nonlinear solve (assembly,
-    // GMRES orthogonalisation, Picard updates) must be bit-identical.
+    // LU factor, Picard updates) must be bit-identical.
     let s = solver(40.0, 0.25);
     let c = initial_control(&s).scaled(0.9);
     let pooled = s.solve(&c, 5, None).unwrap().stack();

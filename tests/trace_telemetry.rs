@@ -1,9 +1,8 @@
 //! End-to-end telemetry: a Laplace DAL-vs-DP comparison run, a sparse
 //! Laplace DP gradient and a sparse Navier–Stokes solve traced to a JSONL
 //! file must contain span timings and solve events from every instrumented
-//! layer — `linear` (Krylov iterations), `linsolve` (one event per
-//! backend solve), `pde` (mesh-free solve loops) and `control` (optimizer
-//! iterations).
+//! layer — `linsolve` (one event per sparse backend solve), `pde`
+//! (mesh-free solve loops) and `control` (optimizer iterations).
 //!
 //! One `#[test]` only: the trace sink is process-global, and this file
 //! compiles to its own test binary, so nothing else can race it.
@@ -21,7 +20,7 @@ fn laplace_run_traces_all_three_layers() {
         std::env::temp_dir().join(format!("meshfree_trace_test_{}.jsonl", std::process::id()));
     trace::set_sink(Box::new(trace::JsonlSink::create(&path).unwrap()));
 
-    // Control + linear layers: the dense DAL-vs-DP comparison (the paper's
+    // Control layer: the dense DAL-vs-DP comparison (the paper's
     // fig. 3b setup at test scale). Dense LU factorizations inside emit
     // `lu_factor` spans.
     let problem = LaplaceControlProblem::new(12).unwrap();
@@ -48,8 +47,9 @@ fn laplace_run_traces_all_three_layers() {
     let c = DVec::from_fn(sparse.n_controls(), |i| 0.1 * sparse.control_x()[i]);
     sparse.cost_and_grad_dp(&c).unwrap();
 
-    // Linear + pde layers: a sparse Navier–Stokes solve runs Picard sweeps
-    // whose saddle systems go through Schur-preconditioned GMRES.
+    // Linsolve + pde layers: a sparse Navier–Stokes solve runs Picard
+    // sweeps whose saddle systems are each factored once (`band_lu_factor`)
+    // and solved (`band_lu`).
     let ns = NsSolver::new(NsConfig {
         channel: ChannelConfig {
             h: 0.2,
@@ -96,17 +96,17 @@ fn laplace_run_traces_all_three_layers() {
             }
         }
     }
-    for layer in ["linear", "linsolve", "pde", "control"] {
+    for layer in ["linsolve", "pde", "control"] {
         assert!(layers.contains(&layer), "no solve events at layer {layer}");
     }
-    for solver in ["envelope_lu", "envelope_lu_t", "gmres_schur", "ns_picard"] {
+    for solver in ["envelope_lu", "envelope_lu_t", "band_lu", "ns_picard"] {
         assert!(solvers.contains(&solver), "no solve events from {solver}");
     }
     for span in [
         "laplace_control_run",
         "lu_factor",
         "envelope_lu_factor",
-        "gmres_solve",
+        "band_lu_factor",
         "ns_solve",
     ] {
         assert!(spans.contains(&span), "missing span {span}");
@@ -147,10 +147,11 @@ fn laplace_run_traces_all_three_layers() {
         dp_costs.last().unwrap()
     );
 
-    // Krylov events carry residuals; control events carry costs.
-    let has_linear_residual = events.iter().any(|e| {
-        matches!(e, ParsedEvent::Solve { layer, event, .. }
-            if layer == "linear" && event.residual.is_finite())
+    // Picard events carry their increment as the residual; control events
+    // carry costs.
+    let has_picard_residual = events.iter().any(|e| {
+        matches!(e, ParsedEvent::Solve { layer, solver, event }
+            if layer == "pde" && solver == "ns_picard" && event.residual.is_finite())
     });
-    assert!(has_linear_residual, "linear events lack residuals");
+    assert!(has_picard_residual, "ns_picard events lack residuals");
 }
