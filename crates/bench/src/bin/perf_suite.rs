@@ -747,9 +747,9 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     );
 
     // ---- sparse NS: saddle assembly -------------------------------------
-    // The per-sweep assembly cost of the RBF-FD saddle path: composing the
-    // 3×3 block-CSR Picard operator from the constant operator set (row
-    // scaling + a sparse add, never a dense matrix).
+    // The per-sweep assembly cost of the RBF-FD saddle path: refilling the
+    // CSR Picard operator in a workspace over its fixed pattern (a copy of
+    // the constant part plus the advection entries, never a dense matrix).
     let sparse_solver = NsSolver::new(NsConfig {
         channel: geometry::generators::ChannelConfig {
             h: sz.ns_h,
@@ -765,13 +765,14 @@ fn run_suite(sz: &Sizes) -> GoldenSnapshot {
     let state_sp = sparse_solver
         .solve(&c_sp, 3, None)
         .expect("sparse ns warm state");
+    let mut ws_sp = sparse_solver.workspace();
     snap = record(
         snap,
         "ns_saddle_assembly_fd",
         sparse_solver.nodes().len(),
         time_kernel(sz.warmup, sz.reps.max(15), || {
-            let blocks = sparse_solver.picard_blocks(&state_sp);
-            std::hint::black_box(&blocks);
+            let a = sparse_solver.picard_operator(&state_sp, &mut ws_sp);
+            std::hint::black_box(a);
         }),
     );
 

@@ -627,7 +627,7 @@ struct NsObjective<'s> {
     initial_scale: f64,
     dp: NsDp<'s>,
     dal: NsAdjoint<'s>,
-    /// One (3N)² matrix + LU storage recycled across every Picard sweep
+    /// One operator buffer + LU storage recycled across every Picard sweep
     /// and adjoint solve of the run (see `pde::NsWorkspace`).
     ws: NsWorkspace,
     state: Option<NsState>,

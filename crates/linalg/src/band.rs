@@ -225,7 +225,7 @@ impl LinearBackend for BandLu {
 mod tests {
     use super::*;
     use crate::factor::Lu;
-    use crate::sparse::{BlockCsr, Triplets};
+    use crate::sparse::Triplets;
     use crate::EnvelopeLu;
     use meshfree_runtime::par::{with_pool, ThreadPool};
     use std::sync::Arc;
@@ -237,36 +237,28 @@ mod tests {
     /// divergence, a zero interior pressure block with one pinned pressure
     /// row (an identity row the split takes off).
     fn chain_saddle(n: usize) -> Csr {
-        let tri = |diag: f64| {
-            let mut t = Triplets::new(n, n);
+        let mut t = Triplets::new(3 * n, 3 * n);
+        for (off, diag) in [(0, 0.03), (n, 0.07)] {
             for i in 0..n {
-                t.push(i, i, diag);
+                t.push(off + i, off + i, diag);
                 if i > 0 {
-                    t.push(i, i - 1, -1.0 - diag);
+                    t.push(off + i, off + i - 1, -1.0 - diag);
                 }
                 if i + 1 < n {
-                    t.push(i, i + 1, 1.0);
+                    t.push(off + i, off + i + 1, 1.0);
                 }
             }
-            t.to_csr()
-        };
-        let mut diff = Triplets::new(n, n);
-        for i in 0..n - 1 {
-            diff.push(i, i, -1.0);
-            diff.push(i, i + 1, 1.0);
         }
-        let diff = diff.to_csr();
-        let mut pin = Triplets::new(n, n);
-        pin.push(n - 1, n - 1, 1.0);
-        let mut k = BlockCsr::new(3, n);
-        k.set_block(0, 0, tri(0.03));
-        k.set_block(1, 1, tri(0.07));
-        k.set_block(0, 2, diff.clone());
-        k.set_block(1, 2, diff.clone());
-        k.set_block(2, 0, diff.clone());
-        k.set_block(2, 1, diff);
-        k.set_block(2, 2, pin.to_csr());
-        k.flatten()
+        // The forward difference in the gradient blocks (rows of u and v,
+        // columns of p) and the divergence blocks (rows of p).
+        for (r, c) in [(0, 2 * n), (n, 2 * n), (2 * n, 0), (2 * n, n)] {
+            for i in 0..n - 1 {
+                t.push(r + i, c + i, -1.0);
+                t.push(r + i, c + i + 1, 1.0);
+            }
+        }
+        t.push(3 * n - 1, 3 * n - 1, 1.0);
+        t.to_csr()
     }
 
     fn rhs(n: usize) -> DVec {

@@ -5,6 +5,7 @@ use crate::blocking::{
 };
 use crate::dense::DMat;
 use crate::error::{LinalgError, Result};
+use crate::sparse::Csr;
 use crate::vector::DVec;
 
 /// LU factorization with partial (row) pivoting: `P A = L U`.
@@ -20,7 +21,7 @@ use crate::vector::DVec;
 /// single time per run and reuse the factors across every optimizer
 /// iteration (forward solves) and every adjoint solve (transpose solves).
 /// State-dependent systems (Navier–Stokes Picard sweeps) instead reuse the
-/// *storage* via [`Lu::refactor`].
+/// *storage* via [`Lu::refactor_csr`].
 #[derive(Debug, Clone)]
 pub struct Lu {
     /// Packed L (unit lower, below diagonal) and U (upper incl. diagonal).
@@ -35,18 +36,28 @@ impl Lu {
     /// Factors a square matrix. Returns [`LinalgError::SingularMatrix`] if a
     /// pivot is smaller than `1e-300` in magnitude.
     pub fn factor(a: &DMat) -> Result<Lu> {
-        let n = a.nrows();
-        if a.ncols() != n {
+        Lu::factor_owned(a.clone())
+    }
+
+    /// [`Lu::factor`] of a sparse matrix's dense image, scattered straight
+    /// into the factor storage (no intermediate dense copy).
+    pub fn factor_csr(a: &Csr) -> Result<Lu> {
+        Lu::factor_owned(a.to_dense())
+    }
+
+    /// Factors `lu` in place; the shared body of the constructors.
+    fn factor_owned(mut lu: DMat) -> Result<Lu> {
+        let n = lu.nrows();
+        if lu.ncols() != n {
             return Err(LinalgError::ShapeMismatch {
                 op: "lu",
-                got: a.shape(),
+                got: lu.shape(),
                 expected: (n, n),
             });
         }
         // Span only the system-sized factorizations; RBF-FD factors
         // thousands of tiny per-stencil matrices that would flood a trace.
         let _span = (n >= 64).then(|| meshfree_runtime::trace::span("lu_factor"));
-        let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let sign = factor_in_place(&mut lu, &mut perm)?;
         Ok(Lu { lu, perm, sign })
@@ -55,21 +66,35 @@ impl Lu {
     /// Refactors a new matrix of the same dimension **in place**, reusing the
     /// packed storage and permutation buffer of this factorization.
     ///
-    /// This is the Navier–Stokes Picard hot path: the coupled matrix changes
-    /// every sweep (it depends on the current state), so the factor cannot be
-    /// cached — but the `(3N)²` storage can. Produces bit-identical factors
+    /// The coupled Navier–Stokes matrix changes every sweep (it depends on
+    /// the current state), so its factor cannot be cached — but the `(3N)²`
+    /// storage can ([`Lu::refactor_csr`]). Produces bit-identical factors
     /// to a fresh [`Lu::factor`] of the same matrix.
     pub fn refactor(&mut self, a: &DMat) -> Result<()> {
+        self.refactor_from(a.shape(), |lu| {
+            lu.as_mut_slice().copy_from_slice(a.as_slice())
+        })
+    }
+
+    /// [`Lu::refactor`] of a sparse matrix's dense image, scattered
+    /// straight into this factorization's storage.
+    pub fn refactor_csr(&mut self, a: &Csr) -> Result<()> {
+        self.refactor_from((a.nrows(), a.ncols()), |lu| a.to_dense_into(lu))
+    }
+
+    /// Checks the shape, lets `load` overwrite the storage with the new
+    /// matrix, then factors it in place.
+    fn refactor_from(&mut self, shape: (usize, usize), load: impl FnOnce(&mut DMat)) -> Result<()> {
         let n = self.dim();
-        if a.shape() != (n, n) {
+        if shape != (n, n) {
             return Err(LinalgError::ShapeMismatch {
                 op: "lu_refactor",
-                got: a.shape(),
+                got: shape,
                 expected: (n, n),
             });
         }
         let _span = (n >= 64).then(|| meshfree_runtime::trace::span("lu_refactor"));
-        self.lu.as_mut_slice().copy_from_slice(a.as_slice());
+        load(&mut self.lu);
         for (i, p) in self.perm.iter_mut().enumerate() {
             *p = i;
         }
@@ -740,6 +765,24 @@ mod tests {
             fresh.solve(&rhs).unwrap().as_slice()
         );
         assert_eq!(lu.det(), fresh.det());
+    }
+
+    #[test]
+    fn csr_factors_match_the_dense_image_bitwise() {
+        let b = random_like_matrix(20, 9);
+        let sparse = Csr::from_dense(&b);
+        let fresh = Lu::factor(&b).unwrap();
+        let mut lu = Lu::factor(&random_like_matrix(20, 3)).unwrap();
+        lu.refactor_csr(&sparse).unwrap();
+        let rhs = DVec::from_fn(20, |i| (i as f64).sin());
+        for f in [&lu, &Lu::factor_csr(&sparse).unwrap()] {
+            assert_eq!(
+                f.solve(&rhs).unwrap().as_slice(),
+                fresh.solve(&rhs).unwrap().as_slice()
+            );
+            assert_eq!(f.det(), fresh.det());
+        }
+        assert!(lu.refactor_csr(&Csr::eye(5)).is_err());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`Cholesky`] — for symmetric positive definite systems.
 //! * [`Qr`] — Householder QR and least-squares solves.
 //! * [`Csr`] — compressed sparse row matrices with parallel SpMV, used by the
-//!   RBF-FD local-stencil path, and [`BlockCsr`], the block form of the
-//!   Navier–Stokes saddle systems.
+//!   RBF-FD local-stencil path and, over a pattern fixed at build and
+//!   refilled in place, by the Navier–Stokes saddle systems.
 //! * [`envelope`] — [`EnvelopeLu`], the sparse direct factor without row
 //!   interchanges (sparse Laplace): identity rows split off, reverse
 //!   Cuthill–McKee ordering, envelope LU with a pivot check and a residual
@@ -55,7 +55,7 @@ pub use dense::DMat;
 pub use envelope::EnvelopeLu;
 pub use error::{LinalgError, Result};
 pub use factor::{Cholesky, Lu, Qr};
-pub use sparse::{BlockCsr, Csr, Triplets};
+pub use sparse::{Csr, Triplets};
 pub use vector::DVec;
 
 /// Tolerance used by the crate's own tests when comparing against

@@ -1,6 +1,4 @@
-//! Compressed sparse row (CSR) matrices with parallel SpMV, and
-//! [`BlockCsr`], the block form the Navier–Stokes saddle systems are
-//! assembled in.
+//! Compressed sparse row (CSR) matrices with parallel SpMV.
 //!
 //! The RBF-FD path assembles global differential operators from local
 //! stencils: each row has only `k` (stencil size) nonzeros, so CSR + a
@@ -81,13 +79,35 @@ impl Triplets {
 }
 
 /// Compressed sparse row matrix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     values: Vec<f64>,
+}
+
+impl Clone for Csr {
+    fn clone(&self) -> Self {
+        Csr {
+            rows: self.rows,
+            cols: self.cols,
+            row_ptr: self.row_ptr.clone(),
+            col_idx: self.col_idx.clone(),
+            values: self.values.clone(),
+        }
+    }
+
+    /// Copies `src` into `self`'s buffers, so refilling a matrix from a
+    /// template of at most its size allocates nothing.
+    fn clone_from(&mut self, src: &Self) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.row_ptr.clone_from(&src.row_ptr);
+        self.col_idx.clone_from(&src.col_idx);
+        self.values.clone_from(&src.values);
+    }
 }
 
 impl Csr {
@@ -122,6 +142,14 @@ impl Csr {
         let lo = self.row_ptr[i];
         let hi = self.row_ptr[i + 1];
         (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// Column indices and mutable values of row `i`: the pattern stays
+    /// fixed while the values are refilled.
+    pub fn row_mut(&mut self, i: usize) -> (&[usize], &mut [f64]) {
+        let lo = self.row_ptr[i];
+        let hi = self.row_ptr[i + 1];
+        (&self.col_idx[lo..hi], &mut self.values[lo..hi])
     }
 
     /// Sparse matrix-vector product, parallel over rows for large matrices.
@@ -187,13 +215,70 @@ impl Csr {
     /// Densifies (for tests and small systems).
     pub fn to_dense(&self) -> DMat {
         let mut m = DMat::zeros(self.rows, self.cols);
+        self.to_dense_into(&mut m);
+        m
+    }
+
+    /// [`Csr::to_dense`] into a caller-owned matrix of the same shape,
+    /// overwriting every entry.
+    pub fn to_dense_into(&self, m: &mut DMat) {
+        assert_eq!(m.shape(), (self.rows, self.cols), "to_dense_into: shape");
+        m.as_mut_slice().fill(0.0);
         for i in 0..self.rows {
             let (cols, vals) = self.row(i);
+            let row = m.row_mut(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                m[(i, j)] += v;
+                row[j] += v;
             }
         }
-        m
+    }
+
+    /// The nonzero entries of a dense matrix, in CSR form.
+    pub fn from_dense(m: &DMat) -> Csr {
+        Csr::from_row_fn(m.nrows(), m.ncols(), |i, row| {
+            row.extend(m.row(i).iter().copied().enumerate().filter(|e| e.1 != 0.0));
+        })
+    }
+
+    /// Assembles a `rows × cols` matrix one row at a time, holding no
+    /// more than one row of entries besides the result: `fill(i, row)`
+    /// appends row `i`'s `(column, value)` pairs in any order. Entries of
+    /// one column are summed in the order given, and every column given
+    /// stays in the pattern, zero or not — fixed-pattern assemblies
+    /// reserve the positions they refill this way.
+    pub fn from_row_fn(
+        rows: usize,
+        cols: usize,
+        mut fill: impl FnMut(usize, &mut Vec<(usize, f64)>),
+    ) -> Csr {
+        let mut row_ptr = vec![0];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        let mut row = Vec::new();
+        for i in 0..rows {
+            row.clear();
+            fill(i, &mut row);
+            // Stable, so duplicates keep the order they were given in.
+            row.sort_by_key(|e: &(usize, f64)| e.0);
+            for &(j, v) in &row {
+                assert!(j < cols, "row entry out of range");
+                if col_idx.len() > row_ptr[i] && col_idx.last() == Some(&j) {
+                    *values.last_mut().expect("entry pushed above") += v;
+                } else {
+                    col_idx.push(j);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        Csr {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
     }
 
     /// Extracts the diagonal (zeros where no entry is stored).
@@ -264,82 +349,6 @@ impl Csr {
             let (c2, v2) = other.row(i);
             for (&j, &v) in c2.iter().zip(v2) {
                 t.push(i, j, beta * v);
-            }
-        }
-        t.to_csr()
-    }
-}
-
-/// A square block matrix with `nb × nb` sparse blocks of uniform dimension
-/// `n` (total operator dimension `nb·n`).
-///
-/// Blocks are stored row-major ([`BlockCsr::set_block`]`(bi, bj, ...)` is
-/// the block in block-row `bi`, block-column `bj`); a `None` block is an
-/// exact structural zero and costs nothing. The Navier–Stokes Picard and
-/// adjoint systems are `nb = 3` over the stacked unknowns `[u | v | p]`:
-/// global index `bi·n + i` is component `bi` at node `i`.
-#[derive(Debug, Clone)]
-pub struct BlockCsr {
-    n: usize,
-    nb: usize,
-    blocks: Vec<Option<Csr>>,
-}
-
-impl BlockCsr {
-    /// An all-zero block matrix of `nb × nb` blocks, each `n × n`.
-    pub fn new(nb: usize, n: usize) -> BlockCsr {
-        BlockCsr {
-            n,
-            nb,
-            blocks: (0..nb * nb).map(|_| None).collect(),
-        }
-    }
-
-    /// Total operator dimension `nb · n`.
-    pub fn dim(&self) -> usize {
-        self.nb * self.n
-    }
-
-    /// Installs block `(bi, bj)`; panics if the block is not `n × n`.
-    pub fn set_block(&mut self, bi: usize, bj: usize, block: Csr) {
-        assert!(bi < self.nb && bj < self.nb, "block index out of range");
-        assert_eq!(
-            (block.nrows(), block.ncols()),
-            (self.n, self.n),
-            "block ({bi},{bj}) has the wrong shape"
-        );
-        self.blocks[bi * self.nb + bj] = Some(block);
-    }
-
-    /// Block `(bi, bj)`, or `None` for a structural zero.
-    pub fn block(&self, bi: usize, bj: usize) -> Option<&Csr> {
-        self.blocks[bi * self.nb + bj].as_ref()
-    }
-
-    /// Total stored nonzeros across all blocks.
-    pub fn nnz(&self) -> usize {
-        self.blocks.iter().flatten().map(|b| b.nnz()).sum()
-    }
-
-    /// Composes the blocks into one monolithic `nb·n × nb·n` CSR matrix
-    /// (global row `bi·n + i`, global column `bj·n + j`).
-    ///
-    /// Row-by-row concatenation: block columns are visited in increasing
-    /// `bj`, so the output inherits sorted column order from the blocks and
-    /// the construction is deterministic (no thread-count dependence).
-    pub fn flatten(&self) -> Csr {
-        let dim = self.dim();
-        let mut t = Triplets::new(dim, dim);
-        for bi in 0..self.nb {
-            for i in 0..self.n {
-                for bj in 0..self.nb {
-                    if let Some(b) = self.block(bi, bj) {
-                        let (cols, vals) = b.row(i);
-                        for (&j, &v) in cols.iter().zip(vals) {
-                            t.push(bi * self.n + i, bj * self.n + j, v);
-                        }
-                    }
-                }
             }
         }
         t.to_csr()
@@ -527,39 +536,36 @@ mod tests {
     }
 
     #[test]
-    fn flatten_matches_dense_block_placement() {
-        let n = 6;
-        let tri = |d: f64| {
-            let mut t = Triplets::new(n, n);
-            for i in 0..n {
-                t.push(i, i, d);
-                if i + 1 < n {
-                    t.push(i, i + 1, -1.0);
-                    t.push(i + 1, i, 0.5);
-                }
+    fn row_fn_sums_duplicates_in_order_and_keeps_given_zeros() {
+        let c = Csr::from_row_fn(2, 3, |i, row| {
+            if i == 0 {
+                row.extend([(2, 0.0), (0, 1.5), (2, 0.25), (0, 1e-17)]);
             }
-            t.to_csr()
-        };
-        let mut k = BlockCsr::new(3, n);
-        k.set_block(0, 0, tri(2.3));
-        k.set_block(1, 1, tri(2.7));
-        k.set_block(0, 2, tri(0.0));
-        k.set_block(2, 1, tri(1.0));
-        k.set_block(2, 2, Csr::eye(n));
-        let flat = k.flatten();
-        assert_eq!(flat.nrows(), 3 * n);
-        let dense = flat.to_dense();
-        for bi in 0..3 {
-            for bj in 0..3 {
-                for i in 0..n {
-                    for j in 0..n {
-                        let expect = k.block(bi, bj).map_or(0.0, |b| b.to_dense()[(i, j)]);
-                        assert_eq!(dense[(bi * n + i, bj * n + j)], expect);
-                    }
-                }
-            }
-        }
-        assert_eq!(flat.nnz(), k.nnz());
+        });
+        assert_eq!(c.nnz(), 2);
+        assert_eq!(c.get(0, 0), Some(1.5 + 1e-17));
+        assert_eq!(c.get(0, 2), Some(0.25));
+        assert_eq!(c.row(1), (&[][..], &[][..]));
+        let z = Csr::from_row_fn(1, 2, |_, row| row.push((1, 0.0)));
+        assert_eq!(z.get(0, 1), Some(0.0), "a given zero stays in the pattern");
+    }
+
+    #[test]
+    fn fixed_pattern_refill_round_trips_through_dense() {
+        let template = awkward();
+        // clone_from into a larger matrix reuses its buffers.
+        let mut op = sample();
+        op.clone_from(&template);
+        assert_eq!(op, template);
+        let (cols, vals) = op.row_mut(1);
+        assert_eq!(cols, &[0, 2]);
+        vals[1] += 1.0;
+        let mut m = DMat::from_fn(3, 4, |_, _| 9.0); // stale entries are cleared
+        op.to_dense_into(&mut m);
+        let mut expect = template.to_dense();
+        expect[(1, 2)] += 1.0;
+        assert_eq!(m, expect);
+        assert_eq!(Csr::from_dense(&m), op);
     }
 
     /// Property tests need the proptest engine; enable with

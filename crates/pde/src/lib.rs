@@ -34,4 +34,4 @@ pub mod ns_dp;
 pub mod poisson;
 
 pub use laplace::LaplaceControlProblem;
-pub use ns::{NsConfig, NsSolver, NsSparseOps, NsState, NsWorkspace};
+pub use ns::{NsConfig, NsSolver, NsState, NsWorkspace};

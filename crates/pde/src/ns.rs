@@ -1,19 +1,20 @@
 //! Steady incompressible Navier–Stokes in the channel (paper §3.2).
 //!
-//! Two discretisations share one solver interface, selected by
-//! [`NsConfig::backend`]:
+//! One solver serves both discretisations. [`NsConfig::backend`] picks two
+//! things and nothing else:
 //!
-//! * **Dense** ([`BackendKind::DenseLu`], the default): nodal RBF
-//!   differentiation matrices (`Dx`, `Dy`, `∇²`) from global collocation,
-//!   assembled into a fully coupled dense `(3N)²` matrix and LU-factored.
-//! * **Sparse** ([`BackendKind::SparseGmres`]): RBF-FD local-stencil
-//!   operators assembled **directly into per-block CSR matrices** — the
-//!   dense `(3N)²` matrix is never materialised. The blocks compose into a
-//!   [`BlockCsr`] saddle-point operator, flattened and factored once per
-//!   sweep by [`BandLu`] (RCM ordering, partial pivoting inside the band).
+//! * **The derivative operators**, at build: nodal RBF differentiation
+//!   rows (`∂x`, `∂y`, `∇²`) from global collocation under
+//!   [`BackendKind::DenseLu`] (the default), RBF-FD local-stencil rows
+//!   under [`BackendKind::SparseGmres`].
+//! * **The factor**, per solve: a dense LU of the operator's `(3N)²`
+//!   image, or a [`BandLu`] of the CSR operator itself (RCM ordering,
+//!   partial pivoting inside the band).
 //!
-//! Both assemble the same coupled (u, v, p) saddle-point structure,
-//! re-linearised around the current state (Picard iteration on the
+//! Between the two, one row recipe assembles the same coupled (u, v, p)
+//! saddle-point operators from whichever rows were built, as `3N × 3N`
+//! [`Csr`] matrices whose patterns are fixed at build. The Picard operator
+//! is re-linearised around the current state (Picard iteration on the
 //! advection term):
 //!
 //! ```text
@@ -22,11 +23,12 @@
 //!   [    ∂x             ∂y      p-BCs ] [p]   [ 0  ]
 //! ```
 //!
-//! with `C(u,v) = u∂x + v∂y` frozen at the previous iterate. Each Picard
-//! step is one "refinement" — the paper's `k` (3 for DAL, 10 for DP), the
-//! quantity whose growth drives DP's memory super-linearity (every
-//! refinement caches a `(3N)²` LU on the DP tape; the sparse path caches
-//! one band factor of the RCM-ordered operator instead).
+//! with `C(u,v) = u∂x + v∂y` frozen at the previous iterate; each sweep
+//! refills only its values, in place. Each Picard step is one
+//! "refinement" — the paper's `k` (3 for DAL, 10 for DP), the quantity
+//! whose growth drives DP's memory super-linearity (every refinement caches
+//! one factor on the DP tape: a `(3N)²` LU, or a band factor of the
+//! RCM-ordered operator).
 //!
 //! Boundary conditions: Dirichlet `u = c(y)` at the inflow (the control),
 //! no-slip walls, blowing/suction slot profiles for `v`, and fully
@@ -40,12 +42,10 @@
 
 use geometry::generators::{channel_cloud, channel_tags, ChannelConfig};
 use geometry::{quadrature, NodeSet};
-use linalg::{
-    BackendKind, BandLu, BlockCsr, Csr, DMat, DVec, LinalgError, LinearBackend, Lu, Triplets,
-};
+use linalg::{BackendKind, BandLu, Csr, DMat, DVec, LinalgError, LinearBackend, Lu};
 use meshfree_runtime::trace;
 use rbf::fd::{fd_matrices_multi, FdConfig, StencilSet};
-use rbf::{DiffMatrices, DiffOp, GlobalCollocation, RbfKernel};
+use rbf::{DiffOp, GlobalCollocation, RbfKernel};
 use std::sync::Arc;
 
 use crate::analytic::poiseuille;
@@ -69,14 +69,13 @@ pub struct NsConfig {
     pub kernel: RbfKernel,
     /// Appended polynomial degree.
     pub degree: i32,
-    /// Discretisation and linear-solver selection for the coupled Picard
-    /// and adjoint systems. [`BackendKind::DenseLu`] (the default) keeps
-    /// the byte-identical global-collocation + dense-LU path;
-    /// [`BackendKind::SparseGmres`] switches the *discretisation* to
-    /// RBF-FD local stencils, assembles per-block CSR operators (the dense
-    /// `(3N)²` matrix is never built) and factors each saddle system with
-    /// [`BandLu`], reporting its solves on the `"linsolve"` trace layer
-    /// under the `band_lu` / `band_lu_t` labels.
+    /// Discretisation and factor of the coupled Picard and adjoint
+    /// systems. [`BackendKind::DenseLu`] (the default) builds
+    /// global-collocation operators and LU-factors each system's dense
+    /// image; [`BackendKind::SparseGmres`] builds RBF-FD local stencils
+    /// (no `O(N²)` storage) and factors each system with [`BandLu`],
+    /// reporting its solves on the `"linsolve"` trace layer under the
+    /// `band_lu` / `band_lu_t` labels.
     pub backend: BackendKind,
 }
 
@@ -128,59 +127,20 @@ impl NsState {
     }
 }
 
-/// Reusable scratch for repeated Picard sweeps: the coupled `(3N)²` matrix
-/// (dense mode only — the sparse mode keeps it `0 × 0`), its LU
-/// factorisation storage (dense mode only), and the linear-solve output
-/// buffer.
+/// Reusable scratch for the Picard sweeps and adjoint solves of a run: the
+/// operator last assembled (refilled in place over its fixed pattern) and,
+/// under [`BackendKind::DenseLu`], the `(3N)²` LU storage its dense image
+/// is factored in.
 ///
-/// Created by [`NsSolver::workspace`]; consumed by [`NsSolver::refine_with`]
-/// and [`NsSolver::solve_with`]. Reuse across sweeps (and across optimizer
-/// iterations) eliminates every per-sweep `(3N)²` allocation — the matrix
-/// sparsity pattern is control-independent, only the advection coefficients
-/// change, so [`Lu::refactor`] recycles the factor storage in place.
+/// Created empty by [`NsSolver::workspace`]; every buffer is sized on first
+/// use by [`NsSolver::refine_with`], [`NsSolver::solve_with`] or the DAL
+/// adjoint solve. Reuse across sweeps (and across optimizer iterations)
+/// makes every later assembly and dense refactorisation allocation-free:
+/// the operator patterns are control-independent, only their values
+/// change, so the CSR refill and [`Lu::refactor`] recycle their storage.
 pub struct NsWorkspace {
-    pub(crate) a: DMat,
-    pub(crate) lu: Option<Lu>,
-    pub(crate) x: DVec,
-}
-
-/// RBF-FD sparse operators for the Navier–Stokes saddle-point system,
-/// built when the backend is [`BackendKind::SparseGmres`].
-///
-/// Block ordering is `u | v | p`: global row/column `b·N + i` addresses
-/// field `b ∈ {0: u, 1: v, 2: p}` at node `i`. Every operator is a genuine
-/// local-stencil CSR matrix (~stencil-size nonzeros per row); nothing here
-/// is `O(N²)`.
-pub struct NsSparseOps {
-    /// Full RBF-FD `∂x` over the cloud (`N × N`).
-    pub dx: Csr,
-    /// Full RBF-FD `∂y` over the cloud (`N × N`).
-    pub dy: Csr,
-    /// `∂x` restricted to interior rows (boundary rows empty). This single
-    /// operator serves as both the pressure-gradient block `G_u` (momentum
-    /// rows) and the continuity block `D_u` (pressure rows) — in this
-    /// discretisation they are the *same* matrix.
-    pub dx_int: Csr,
-    /// `∂y` restricted to interior rows (`G_v = D_v`).
-    pub dy_int: Csr,
-    /// Constant part of the `(u,u)` block: `−ν∇²` at interior rows, `∂x`
-    /// rows at the outflow (fully developed), identity at the other
-    /// boundary rows (Dirichlet data).
-    pub a_u0: Csr,
-    /// Constant part of the `(v,v)` block: `−ν∇²` at interior rows,
-    /// identity on every boundary row.
-    pub a_v0: Csr,
-    /// The `(p,p)` block: identity at the outflow (`p = 0`), `n·∇` rows on
-    /// the other boundaries (`∂p/∂n = 0`), structurally **empty** interior
-    /// rows — which is why the saddle systems need row interchanges
-    /// ([`BandLu`]).
-    pub a_p: Csr,
-    /// `3N × 3N` advection structure matrix for the taped DP path:
-    /// `dx_int` embedded in the `(u,u)` and `(v,v)` blocks (see
-    /// [`NsSolver::advection_structs`]).
-    pub adv3_x: Arc<Csr>,
-    /// `3N × 3N` advection structure matrix: `dy_int` in the same blocks.
-    pub adv3_y: Arc<Csr>,
+    pub(crate) op: Csr,
+    lu: Option<Arc<Lu>>,
 }
 
 /// Bytes held by a CSR matrix (values + index arrays).
@@ -188,71 +148,147 @@ fn csr_bytes(m: &Csr) -> usize {
     m.nnz() * (8 + std::mem::size_of::<usize>()) + (m.nrows() + 1) * std::mem::size_of::<usize>()
 }
 
-/// `3N × 3N` advection structure matrix: the interior rows of a
-/// derivative operator (`row(i)` yields row `i`'s `(column, value)`
-/// pairs) embedded in the `(u,u)` and `(v,v)` blocks. Row-scaling it by
-/// the stacked `[u; u; 0]` (`[v; v; 0]`) vector gives the Picard advection
-/// contribution `u∂x` (`v∂y`).
-fn advection_embedding<R>(nodes: &NodeSet, row: impl Fn(usize) -> R) -> Arc<Csr>
-where
-    R: Iterator<Item = (usize, f64)>,
-{
-    let n = nodes.len();
-    let mut t = Triplets::new(3 * n, 3 * n);
-    // Block by block, so the triplets arrive already in CSR order.
-    for off in [0, n] {
-        for i in nodes.interior_range() {
-            for (j, v) in row(i) {
-                t.push(off + i, off + j, v);
+/// Appends row `i` of `m`, scaled, with columns shifted by `c0`. Zero
+/// products are skipped, so explicit zeros mark reserved positions only.
+fn push_row(row: &mut Vec<(usize, f64)>, c0: usize, m: &Csr, i: usize, scale: f64) {
+    let (cols, vals) = m.row(i);
+    let entries = cols.iter().zip(vals).map(|(&j, &v)| (c0 + j, scale * v));
+    row.extend(entries.filter(|e| e.1 != 0.0));
+}
+
+/// The Navier–Stokes operator set, one layout for both discretisations.
+///
+/// Block ordering is `u | v | p`: row/column `b·N + i` addresses field
+/// `b ∈ {0: u, 1: v, 2: p}` at node `i`. Every matrix is CSR; the dense
+/// build stores its global-collocation rows as full CSR rows, the sparse
+/// build stencil rows, so nothing is `O(N²)` on the sparse build.
+pub(crate) struct NsOps {
+    /// `∂x` rows at the inflow nodes (in [`NsSolver::inflow_idx`] order):
+    /// the `∂ξ_u/∂x` of the DAL gradient.
+    pub(crate) dx_inflow: Csr,
+    /// The advection structure matrices `[C_x, C_y]` (`3N × 3N`): the
+    /// interior `∂x` (`∂y`) rows embedded in the `(u,u)` and `(v,v)`
+    /// blocks, both on the same pattern.
+    pub(crate) adv: [Arc<Csr>; 2],
+    /// The constant part `A₀` of the Picard operator over its fixed
+    /// pattern, which holds every position of `C_x` and `C_y`.
+    pub(crate) picard: Csr,
+    /// The constant part of the adjoint operator over its fixed pattern:
+    /// `A₀` with Robin `ν∂x` rows for `ξ_u` at the outflow, plus the
+    /// positions of the `(∇u)ᵀξ` production couplings.
+    pub(crate) adjoint: Csr,
+}
+
+impl NsOps {
+    /// Builds the derivative rows `{∂x, ∂y, ∇²}` of the configured
+    /// discretisation, then the operator set from them with one row recipe.
+    fn new(
+        nodes: &NodeSet,
+        cfg: &NsConfig,
+        nu: f64,
+        inflow_idx: &[usize],
+    ) -> Result<NsOps, LinalgError> {
+        let [dx, dy, lap]: [Csr; 3] = match cfg.backend {
+            BackendKind::DenseLu => {
+                let dm = GlobalCollocation::new(nodes, cfg.kernel, cfg.degree).diff_matrices()?;
+                [&dm.dx, &dm.dy, &dm.lap].map(Csr::from_dense)
             }
-        }
+            BackendKind::SparseGmres => {
+                // RBF-FD needs degree ≥ 2 stencil polynomials for a
+                // consistent Laplacian; `for_degree` also sizes the stencil
+                // accordingly. One stencil sweep, one local factorisation
+                // per node.
+                let fd = FdConfig::for_degree(cfg.degree.max(2));
+                let stencils = StencilSet::build(nodes, fd.stencil_size);
+                let ops = [DiffOp::Dx, DiffOp::Dy, DiffOp::Lap];
+                fd_matrices_multi(nodes, &stencils, cfg.kernel, fd.degree, &ops)?
+                    .try_into()
+                    .expect("three operators requested")
+            }
+        };
+
+        let n = nodes.len();
+        let n3 = 3 * n;
+        let n_int = nodes.n_interior();
+        // The columns of interior node i's momentum rows that the advection
+        // refill writes — the union of the three operators' columns and the
+        // diagonal — reserved as zeros in every matrix of the set.
+        let advected: Vec<Vec<usize>> = nodes
+            .interior_range()
+            .map(|i| {
+                let rows = [&lap, &dx, &dy].map(|m| m.row(i).0);
+                let mut cols: Vec<usize> = rows.concat();
+                cols.push(i);
+                cols.sort_unstable();
+                cols.dedup();
+                cols
+            })
+            .collect();
+        let reserve_advected = |row: &mut Vec<(usize, f64)>, off: usize, i: usize| {
+            row.extend(advected[i].iter().map(|&j| (off + j, 0.0)));
+        };
+        // The one row recipe, for the Picard constant part A₀ and for the
+        // adjoint's; row r is field r / n at node r % n.
+        let recipe = |adjoint: bool| {
+            Csr::from_row_fn(n3, n3, |r, row| {
+                let (b, i) = (r / n, r % n);
+                if i < n_int && b == 2 {
+                    // Continuity ∂x u + ∂y v = 0 (full derivative rows:
+                    // boundary u, v values participate).
+                    push_row(row, 0, &dx, i, 1.0);
+                    push_row(row, n, &dy, i, 1.0);
+                } else if i < n_int {
+                    // Momentum: −ν∇², the pressure gradient ∂x (u row) or
+                    // ∂y (v row) and, in the adjoint, the cross (∇u)ᵀξ
+                    // production coupling, filled per state.
+                    push_row(row, b * n, &lap, i, -nu);
+                    reserve_advected(row, b * n, i);
+                    push_row(row, 2 * n, [&dx, &dy][b], i, 1.0);
+                    if adjoint {
+                        row.push(([n + i, i][b], 0.0));
+                    }
+                } else if nodes.tag(i) == channel_tags::OUTFLOW && b == 0 {
+                    // Fully developed outflow ∂u/∂x = 0; the adjoint's
+                    // Robin row ν∂x + u·e for ξ_u (u·e filled per state).
+                    push_row(row, 0, &dx, i, if adjoint { nu } else { 1.0 });
+                    if adjoint {
+                        row.push((i, 0.0));
+                    }
+                } else if nodes.tag(i) != channel_tags::OUTFLOW && b == 2 {
+                    let nrm = nodes.normal(i).unwrap();
+                    push_row(row, 2 * n, &dx, i, nrm.x);
+                    push_row(row, 2 * n, &dy, i, nrm.y); // ∂p/∂n = 0
+                } else {
+                    // u, v = data (ξ = 0); p = 0 at the outflow.
+                    row.push((r, 1.0));
+                }
+            })
+        };
+        let adv = [&dx, &dy].map(|g| {
+            Arc::new(Csr::from_row_fn(n3, n3, |r, row| {
+                let (b, i) = (r / n, r % n);
+                if b < 2 && i < n_int {
+                    push_row(row, b * n, g, i, 1.0);
+                    reserve_advected(row, b * n, i);
+                }
+            }))
+        });
+        Ok(NsOps {
+            dx_inflow: Csr::from_row_fn(inflow_idx.len(), n, |k, row| {
+                push_row(row, 0, &dx, inflow_idx[k], 1.0)
+            }),
+            adv,
+            picard: recipe(false),
+            adjoint: recipe(true),
+        })
     }
-    Arc::new(t.to_csr())
-}
-
-impl NsSparseOps {
-    /// Bytes held by the stored CSR operators (values + index arrays).
-    pub fn memory_bytes(&self) -> usize {
-        csr_bytes(&self.dx)
-            + csr_bytes(&self.dy)
-            + csr_bytes(&self.dx_int)
-            + csr_bytes(&self.dy_int)
-            + csr_bytes(&self.a_u0)
-            + csr_bytes(&self.a_v0)
-            + csr_bytes(&self.a_p)
-            + csr_bytes(&self.adv3_x)
-            + csr_bytes(&self.adv3_y)
-    }
-}
-
-/// Dense global-collocation operators (the original discretisation).
-struct DenseOps {
-    /// Full nodal differentiation matrices.
-    dm: DiffMatrices,
-    /// `Dx`/`Dy` with all non-interior rows zeroed (`N × N`).
-    dx_int: Arc<DMat>,
-    dy_int: Arc<DMat>,
-    /// Constant part of the coupled matrix (`3N × 3N`): diffusion, pressure
-    /// gradient, BC rows, continuity rows, pressure-BC rows.
-    base: Arc<DMat>,
-    /// Advection structure matrices for the taped DP path: `Dxᵢₙₜ` and
-    /// `Dyᵢₙₜ` in the (u,u) and (v,v) blocks, as CSR — the same values the
-    /// coupled matrix carries, at `O(N_int·N)` instead of `(3N)²` storage.
-    adv3_x: Arc<Csr>,
-    adv3_y: Arc<Csr>,
-}
-
-/// The discretisation actually built, decided by [`NsConfig::backend`].
-enum Disc {
-    Dense(Box<DenseOps>),
-    Sparse(Box<NsSparseOps>),
 }
 
 /// The assembled channel-flow solver.
 pub struct NsSolver {
     nodes: NodeSet,
     cfg: NsConfig,
-    disc: Disc,
+    ops: NsOps,
     /// Constant RHS (slot boundary data), `3N`.
     rhs0: DVec,
     /// Inflow node indices sorted by `y`, and their `y` coordinates.
@@ -268,170 +304,14 @@ pub struct NsSolver {
     target_u: DVec,
 }
 
-/// Builds the dense global-collocation operators (byte-identical to the
-/// original single-discretisation assembly).
-fn build_dense_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<DenseOps, LinalgError> {
-    let ctx = GlobalCollocation::new(nodes, cfg.kernel, cfg.degree);
-    let dm = ctx.diff_matrices()?;
-    let n = nodes.len();
-
-    let mask_interior = |m: &DMat| -> DMat {
-        let mut out = m.clone();
-        for i in nodes.boundary_indices() {
-            out.row_mut(i).fill(0.0);
-        }
-        out
-    };
-    let dx_int = mask_interior(&dm.dx);
-    let dy_int = mask_interior(&dm.dy);
-    let lap_int = mask_interior(&dm.lap);
-
-    // ---- Constant 3N × 3N base matrix ----
-    let mut base = DMat::zeros(3 * n, 3 * n);
-    // u-momentum rows [0, n): −ν∇² (u-block) + ∂x (p-block) interior.
-    // v-momentum rows [n, 2n): −ν∇² (v-block) + ∂y (p-block) interior.
-    // Continuity rows [2n, 3n): ∂x u + ∂y v = 0 at interior nodes
-    // (full derivative rows — boundary u, v values participate).
-    for i in nodes.interior_range() {
-        for j in 0..n {
-            base[(i, j)] = -nu * lap_int[(i, j)];
-            base[(i, 2 * n + j)] = dx_int[(i, j)];
-            base[(n + i, n + j)] = -nu * lap_int[(i, j)];
-            base[(n + i, 2 * n + j)] = dy_int[(i, j)];
-            base[(2 * n + i, j)] = dm.dx[(i, j)];
-            base[(2 * n + i, n + j)] = dm.dy[(i, j)];
-        }
-    }
-    // Boundary rows.
-    for i in nodes.boundary_indices() {
-        // u-momentum: fully-developed outflow or Dirichlet data.
-        if nodes.tag(i) == channel_tags::OUTFLOW {
-            for j in 0..n {
-                base[(i, j)] = dm.dx[(i, j)]; // ∂u/∂x = 0
-            }
-        } else {
-            base[(i, i)] = 1.0; // u = data
-        }
-        // v-momentum: always Dirichlet.
-        base[(n + i, n + i)] = 1.0;
-        // Pressure rows.
-        if nodes.tag(i) == channel_tags::OUTFLOW {
-            base[(2 * n + i, 2 * n + i)] = 1.0; // p = 0
-        } else {
-            let nrm = nodes.normal(i).unwrap();
-            for j in 0..n {
-                base[(2 * n + i, 2 * n + j)] = nrm.x * dm.dx[(i, j)] + nrm.y * dm.dy[(i, j)];
-            }
-        }
-    }
-
-    let adv3_x = advection_embedding(nodes, |i| dx_int.row(i).iter().copied().enumerate());
-    let adv3_y = advection_embedding(nodes, |i| dy_int.row(i).iter().copied().enumerate());
-    Ok(DenseOps {
-        dm,
-        dx_int: Arc::new(dx_int),
-        dy_int: Arc::new(dy_int),
-        base: Arc::new(base),
-        adv3_x,
-        adv3_y,
-    })
-}
-
-/// Builds the RBF-FD sparse operators: one stencil sweep assembles
-/// `{∂x, ∂y, ∇²}` via [`fd_matrices_multi`] (one local factorisation per
-/// node), then the constant saddle blocks are formed row by row following
-/// exactly the dense assembly's recipe — same equations, local stencils
-/// instead of global collocation rows.
-fn build_sparse_ops(nodes: &NodeSet, cfg: &NsConfig, nu: f64) -> Result<NsSparseOps, LinalgError> {
-    let n = nodes.len();
-    // RBF-FD needs degree ≥ 2 stencil polynomials for a consistent
-    // Laplacian; `for_degree` also sizes the stencil accordingly.
-    let fd_cfg = FdConfig::for_degree(cfg.degree.max(2));
-    let stencils = StencilSet::build(nodes, fd_cfg.stencil_size);
-    let mats = fd_matrices_multi(
-        nodes,
-        &stencils,
-        cfg.kernel,
-        fd_cfg.degree,
-        &[DiffOp::Dx, DiffOp::Dy, DiffOp::Lap],
-    )?;
-    let mut it = mats.into_iter();
-    let dx = it.next().expect("three ops requested");
-    let dy = it.next().expect("three ops requested");
-    let lap = it.next().expect("three ops requested");
-
-    let push_row = |t: &mut Triplets, i: usize, cols: &[usize], vals: &[f64], scale: f64| {
-        for (&j, &v) in cols.iter().zip(vals) {
-            t.push(i, j, scale * v);
-        }
-    };
-
-    let mut t_dxi = Triplets::new(n, n);
-    let mut t_dyi = Triplets::new(n, n);
-    let mut t_au = Triplets::new(n, n);
-    let mut t_av = Triplets::new(n, n);
-    let mut t_ap = Triplets::new(n, n);
-    for i in nodes.interior_range() {
-        let (cx, vx) = dx.row(i);
-        let (cy, vy) = dy.row(i);
-        let (cl, vl) = lap.row(i);
-        push_row(&mut t_dxi, i, cx, vx, 1.0);
-        push_row(&mut t_dyi, i, cy, vy, 1.0);
-        push_row(&mut t_au, i, cl, vl, -nu);
-        push_row(&mut t_av, i, cl, vl, -nu);
-    }
-    for i in nodes.boundary_indices() {
-        if nodes.tag(i) == channel_tags::OUTFLOW {
-            let (cx, vx) = dx.row(i);
-            push_row(&mut t_au, i, cx, vx, 1.0); // ∂u/∂x = 0
-            t_ap.push(i, i, 1.0); // p = 0
-        } else {
-            t_au.push(i, i, 1.0); // u = data
-            let nrm = nodes.normal(i).unwrap();
-            let (cx, vx) = dx.row(i);
-            let (cy, vy) = dy.row(i);
-            push_row(&mut t_ap, i, cx, vx, nrm.x);
-            push_row(&mut t_ap, i, cy, vy, nrm.y); // ∂p/∂n = 0
-        }
-        t_av.push(i, i, 1.0); // v = data
-    }
-    let dx_int = t_dxi.to_csr();
-    let dy_int = t_dyi.to_csr();
-    fn csr_row(m: &Csr, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (cols, vals) = m.row(i);
-        cols.iter().copied().zip(vals.iter().copied())
-    }
-    let adv3_x = advection_embedding(nodes, |i| csr_row(&dx_int, i));
-    let adv3_y = advection_embedding(nodes, |i| csr_row(&dy_int, i));
-
-    Ok(NsSparseOps {
-        dx,
-        dy,
-        dx_int,
-        dy_int,
-        a_u0: t_au.to_csr(),
-        a_v0: t_av.to_csr(),
-        a_p: t_ap.to_csr(),
-        adv3_x,
-        adv3_y,
-    })
-}
-
 impl NsSolver {
-    /// Builds the solver: generates the cloud and the discretisation
-    /// selected by [`NsConfig::backend`] — dense global-collocation
-    /// operators under [`BackendKind::DenseLu`], per-block RBF-FD CSR
-    /// operators under [`BackendKind::SparseGmres`] (no `O(N²)` storage is
-    /// allocated on that path).
+    /// Builds the solver: generates the cloud and the operator set of the
+    /// discretisation selected by [`NsConfig::backend`] (no `O(N²)` storage
+    /// on the [`BackendKind::SparseGmres`] build).
     pub fn new(cfg: NsConfig) -> Result<Self, LinalgError> {
         let nodes = channel_cloud(&cfg.channel);
         let n = nodes.len();
         let nu = 1.0 / cfg.re + cfg.stab * cfg.channel.h;
-
-        let disc = match cfg.backend {
-            BackendKind::DenseLu => Disc::Dense(Box::new(build_dense_ops(&nodes, &cfg, nu)?)),
-            BackendKind::SparseGmres => Disc::Sparse(Box::new(build_sparse_ops(&nodes, &cfg, nu)?)),
-        };
 
         let (inflow_idx, inflow_y) =
             quadrature::sort_along(&nodes.indices_with_tag(channel_tags::INFLOW), |i| {
@@ -442,6 +322,7 @@ impl NsSolver {
                 nodes.point(i).y
             });
         let outflow_w = DVec(quadrature::trapezoid_weights(&outflow_y));
+        let ops = NsOps::new(&nodes, &cfg, nu, &inflow_idx)?;
 
         // Slot boundary data for v: blowing (bottom, +v into the domain) and
         // suction (top, +v out of the domain), smooth bumps over each slot.
@@ -471,7 +352,7 @@ impl NsSolver {
         Ok(NsSolver {
             nodes,
             cfg,
-            disc,
+            ops,
             rhs0,
             inflow_idx,
             inflow_y,
@@ -483,19 +364,6 @@ impl NsSolver {
         })
     }
 
-    /// The dense operators, for paths that require them.
-    ///
-    /// Panics in sparse mode — dense `(3N)²` operators are exactly what
-    /// [`BackendKind::SparseGmres`] promises never to build.
-    fn dense_ops(&self) -> &DenseOps {
-        match &self.disc {
-            Disc::Dense(d) => d,
-            Disc::Sparse(_) => {
-                panic!("dense NS operators are not built under BackendKind::SparseGmres")
-            }
-        }
-    }
-
     /// The node cloud.
     pub fn nodes(&self) -> &NodeSet {
         &self.nodes
@@ -504,6 +372,11 @@ impl NsSolver {
     /// The configuration.
     pub fn cfg(&self) -> &NsConfig {
         &self.cfg
+    }
+
+    /// The operator set.
+    pub(crate) fn ops(&self) -> &NsOps {
+        &self.ops
     }
 
     /// Effective viscosity `1/Re + stab·h` (physical + artificial).
@@ -546,58 +419,12 @@ impl NsSolver {
         &self.target_u
     }
 
-    /// Full nodal differentiation matrices (dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`] — use
-    /// [`NsSolver::sparse_ops`] there.
-    pub fn dm(&self) -> &DiffMatrices {
-        &self.dense_ops().dm
-    }
-
-    /// Masked `∂x` (interior rows only, `N × N`; dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn dx_int(&self) -> &Arc<DMat> {
-        &self.dense_ops().dx_int
-    }
-
-    /// Masked `∂y` (interior rows only, `N × N`; dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn dy_int(&self) -> &Arc<DMat> {
-        &self.dense_ops().dy_int
-    }
-
-    /// Constant block of the coupled matrix (`3N × 3N`; dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn base(&self) -> &Arc<DMat> {
-        &self.dense_ops().base
-    }
-
-    /// The `3N × 3N` advection structure matrices `[C_x, C_y]` of either
-    /// backend: the coupled Picard matrix is `A₀ + diag(s_u)·C_x +
-    /// diag(s_v)·C_y` with `s_u = [u; u; 0]`, `s_v = [v; v; 0]`, which is
-    /// the decomposition [`autodiff::Tape::solve_scaled`] differentiates.
+    /// The `3N × 3N` advection structure matrices `[C_x, C_y]`: the Picard
+    /// operator is `A₀ + diag(s_u)·C_x + diag(s_v)·C_y` with
+    /// `s_u = [u; u; 0]`, `s_v = [v; v; 0]`, which is the decomposition
+    /// [`autodiff::Tape::solve_scaled`] differentiates.
     pub fn advection_structs(&self) -> [Arc<Csr>; 2] {
-        let (x, y) = match &self.disc {
-            Disc::Dense(d) => (&d.adv3_x, &d.adv3_y),
-            Disc::Sparse(o) => (&o.adv3_x, &o.adv3_y),
-        };
-        [Arc::clone(x), Arc::clone(y)]
-    }
-
-    /// The RBF-FD sparse operators (`Some` only under
-    /// [`BackendKind::SparseGmres`]).
-    pub fn sparse_ops(&self) -> Option<&NsSparseOps> {
-        match &self.disc {
-            Disc::Sparse(o) => Some(o),
-            Disc::Dense(_) => None,
-        }
+        self.ops.adv.clone()
     }
 
     /// Constant RHS (slot data), length `3N`.
@@ -674,153 +501,90 @@ impl NsSolver {
         }
     }
 
-    /// Bytes held by the assembled constant operators. Dense mode: the
-    /// `(3N)²` base matrix, the `N²` differentiation matrices and the CSR
-    /// advection structure matrices. Sparse mode: the CSR operator set, which
-    /// is `O(k·N)` (stencil size `k`), not `O(N²)`. This is what a
-    /// cross-request cache pays to keep an NS problem build resident (the
-    /// per-sweep factor lives in the [`NsWorkspace`], not here).
+    /// Bytes held by the operator set: the Picard and adjoint constant
+    /// parts, the advection structure matrices and the inflow `∂x` rows —
+    /// `O(k·N)` for stencil size `k` on the sparse build, `O(N²)` on the
+    /// dense one. This is what a cross-request cache pays to keep an NS
+    /// problem build resident (the per-sweep operator and factor live in
+    /// the [`NsWorkspace`], not here).
     pub fn memory_bytes(&self) -> usize {
-        match &self.disc {
-            Disc::Dense(d) => {
-                let mat = |m: &DMat| m.as_slice().len() * 8;
-                mat(&d.base)
-                    + csr_bytes(&d.adv3_x)
-                    + csr_bytes(&d.adv3_y)
-                    + mat(&d.dx_int)
-                    + mat(&d.dy_int)
-                    + mat(&d.dm.dx)
-                    + mat(&d.dm.dy)
-                    + mat(&d.dm.lap)
-            }
-            Disc::Sparse(o) => o.memory_bytes(),
-        }
+        let o = &self.ops;
+        csr_bytes(&o.dx_inflow)
+            + o.adv.iter().map(|m| csr_bytes(m)).sum::<usize>()
+            + csr_bytes(&o.picard)
+            + csr_bytes(&o.adjoint)
     }
 
-    /// Creates a reusable workspace for repeated Picard sweeps. Dense
-    /// mode: the `(3N)²` coupled matrix, its LU storage and the solution
-    /// buffer are allocated once and recycled by [`NsSolver::refine_with`]
-    /// / [`NsSolver::solve_with`] — the Jacobian sparsity *pattern* is
-    /// fixed even though the advection entries change every sweep. Sparse
-    /// mode: the matrix buffer stays `0 × 0`; each sweep factors its own
-    /// [`BandLu`].
+    /// Creates an empty reusable workspace for repeated Picard sweeps and
+    /// adjoint solves (see [`NsWorkspace`]).
     pub fn workspace(&self) -> NsWorkspace {
-        let n3 = match &self.disc {
-            Disc::Dense(_) => 3 * self.nodes.len(),
-            Disc::Sparse(_) => 0,
-        };
         NsWorkspace {
-            a: DMat::zeros(n3, n3),
+            op: Csr::eye(0),
             lu: None,
-            x: DVec::zeros(0),
         }
     }
 
-    /// Solves the assembled dense coupled system `ws.a · x = b` into
-    /// `ws.x` via the refactor-in-place LU path (byte-identical to the
-    /// original single-backend code). Sparse-mode solves never assemble
-    /// `ws.a` and go through [`NsSolver::solve_saddle`] instead.
-    pub(crate) fn solve_assembled(
+    /// Calls `f(i, values, cx, cy)` for each advected row of `op` — the
+    /// `u` and `v` momentum rows of interior node `i` — with `values` the
+    /// row's entries on the columns of `C_x`'s row, whose values are `cx`
+    /// (and `C_y`'s, on the same columns, `cy`). `op`'s pattern must hold
+    /// those positions, as both operator patterns do.
+    pub(crate) fn refill_advected(
+        &self,
+        op: &mut Csr,
+        mut f: impl FnMut(usize, &mut [f64], &[f64], &[f64]),
+    ) {
+        let [cx, cy] = &self.ops.adv;
+        for off in [0, self.nodes.len()] {
+            for i in self.nodes.interior_range() {
+                let (cols, x) = cx.row(off + i);
+                let y = cy.row(off + i).1;
+                let (op_cols, vals) = op.row_mut(off + i);
+                let start = op_cols.partition_point(|&c| c < cols[0]);
+                debug_assert_eq!(&op_cols[start..start + cols.len()], cols);
+                f(i, &mut vals[start..start + cols.len()], x, y);
+            }
+        }
+    }
+
+    /// The Picard operator for the advecting field of `state`, assembled in
+    /// `ws`: `A₀` copied over the fixed pattern, then
+    /// `diag(s_u)·C_x + diag(s_v)·C_y` added on the advected entries (see
+    /// [`NsSolver::advection_structs`]). Every step is `O(nnz)`.
+    pub fn picard_operator<'w>(&self, state: &NsState, ws: &'w mut NsWorkspace) -> &'w Csr {
+        ws.op.clone_from(&self.ops.picard);
+        self.refill_advected(&mut ws.op, |i, a, x, y| {
+            let (su, sv) = (state.u[i], state.v[i]);
+            for ((a, &x), &y) in a.iter_mut().zip(x).zip(y) {
+                *a += su * x + sv * y;
+            }
+        });
+        &ws.op
+    }
+
+    /// Factors the operator last assembled in `ws` with the configured
+    /// backend — after the build, the one place the two discretisations
+    /// differ. [`BackendKind::DenseLu`] scatters its dense image into the
+    /// workspace's LU storage and refactors it in place, or into a fresh
+    /// factor while a caller (the DP tape) still holds the last.
+    /// [`BackendKind::SparseGmres`] factors the CSR operator itself with
+    /// [`BandLu`]: a `band_lu_factor` span, then `band_lu` / `band_lu_t`
+    /// solve events on the `"linsolve"` layer.
+    pub(crate) fn factor(
         &self,
         ws: &mut NsWorkspace,
-        b: &DVec,
-    ) -> Result<(), LinalgError> {
-        match &mut ws.lu {
-            Some(lu) => lu.refactor(&ws.a)?,
-            slot => {
-                *slot = Some(Lu::factor(&ws.a)?);
+    ) -> Result<Arc<dyn LinearBackend>, LinalgError> {
+        match self.cfg.backend {
+            BackendKind::DenseLu => {
+                match ws.lu.as_mut().and_then(Arc::get_mut) {
+                    Some(lu) => lu.refactor_csr(&ws.op)?,
+                    None => ws.lu = Some(Arc::new(Lu::factor_csr(&ws.op)?)),
+                }
+                let lu: Arc<dyn LinearBackend> = ws.lu.clone().expect("factored above");
+                Ok(lu)
             }
+            BackendKind::SparseGmres => Ok(Arc::new(BandLu::factor(&ws.op)?)),
         }
-        let lu = ws.lu.as_ref().expect("lu populated above");
-        lu.solve_into(b, &mut ws.x)
-    }
-
-    /// Solves the block-CSR saddle system `blocks · x = b` into `ws.x`
-    /// with one [`BandLu`] factor of the flattened operator. The factor
-    /// traces as the `band_lu_factor` span, the solve as a `band_lu` event
-    /// on the `"linsolve"` layer.
-    pub(crate) fn solve_saddle(
-        &self,
-        ws: &mut NsWorkspace,
-        blocks: &BlockCsr,
-        b: &DVec,
-    ) -> Result<(), LinalgError> {
-        ws.x = BandLu::factor(&blocks.flatten())?.solve(b)?;
-        Ok(())
-    }
-
-    /// Assembles the coupled Picard matrix for the advecting field taken
-    /// from `state` (dense mode only).
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`] — use
-    /// [`NsSolver::picard_blocks`] there.
-    pub fn picard_matrix(&self, state: &NsState) -> DMat {
-        let n3 = 3 * self.nodes.len();
-        let mut a = DMat::zeros(n3, n3);
-        self.picard_matrix_into(state, &mut a);
-        a
-    }
-
-    /// [`NsSolver::picard_matrix`] into a caller-owned matrix. The constant
-    /// base is copied once and the advection terms are added in place over
-    /// their fixed sparsity pattern (interior momentum rows × velocity
-    /// blocks) — replacing the two full `(3N)²` `scale_rows` temporaries and
-    /// three full-matrix passes of the naive assembly.
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::SparseGmres`].
-    pub fn picard_matrix_into(&self, state: &NsState, a: &mut DMat) {
-        let d = self.dense_ops();
-        let n = self.nodes.len();
-        assert_eq!(a.shape(), (3 * n, 3 * n), "picard_matrix_into: shape");
-        a.as_mut_slice().copy_from_slice(d.base.as_slice());
-        for i in self.nodes.interior_range() {
-            let su = state.u[i];
-            let sv = state.v[i];
-            let dxr = d.dx_int.row(i);
-            let dyr = d.dy_int.row(i);
-            // u-momentum row i advects the u-block; v-momentum row n+i
-            // advects the v-block, both with C(u,v) = u∂x + v∂y.
-            let row = &mut a.row_mut(i)[..n];
-            for j in 0..n {
-                row[j] += su * dxr[j] + sv * dyr[j];
-            }
-            let row = &mut a.row_mut(n + i)[n..2 * n];
-            for j in 0..n {
-                row[j] += su * dxr[j] + sv * dyr[j];
-            }
-        }
-    }
-
-    /// Assembles the `3 × 3` block-CSR Picard operator for the advecting
-    /// field taken from `state` (sparse mode only). Block ordering is
-    /// `u | v | p`; the advection `C(u,v) = u∂x + v∂y` is added to the
-    /// constant `(u,u)` / `(v,v)` blocks by row-scaling `dx_int` / `dy_int`
-    /// — every step stays `O(k·N)`.
-    ///
-    /// # Panics
-    /// Panics under [`BackendKind::DenseLu`] — use
-    /// [`NsSolver::picard_matrix`] there.
-    pub fn picard_blocks(&self, state: &NsState) -> BlockCsr {
-        let ops = self
-            .sparse_ops()
-            .expect("picard_blocks requires BackendKind::SparseGmres");
-        let n = self.nodes.len();
-        let mut cu = ops.dx_int.clone();
-        cu.scale_rows_mut(state.u.as_slice());
-        let mut cv = ops.dy_int.clone();
-        cv.scale_rows_mut(state.v.as_slice());
-        let conv = cu.add_scaled(1.0, &cv, 1.0);
-        let mut blocks = BlockCsr::new(3, n);
-        blocks.set_block(0, 0, ops.a_u0.add_scaled(1.0, &conv, 1.0));
-        blocks.set_block(0, 2, ops.dx_int.clone());
-        blocks.set_block(1, 1, ops.a_v0.add_scaled(1.0, &conv, 1.0));
-        blocks.set_block(1, 2, ops.dy_int.clone());
-        blocks.set_block(2, 0, ops.dx_int.clone());
-        blocks.set_block(2, 1, ops.dy_int.clone());
-        blocks.set_block(2, 2, ops.a_p.clone());
-        blocks
     }
 
     /// One Picard refinement from `state` with inflow control `c`.
@@ -832,12 +596,11 @@ impl NsSolver {
         self.refine_with(state, c, &mut ws)
     }
 
-    /// [`NsSolver::refine`] against a reusable workspace: dense mode
-    /// assembles into `ws` and refactors in place ([`Lu::refactor`]), so a
-    /// sweep of `k` refinements performs zero `(3N)²` allocations after the
-    /// first; sparse mode assembles the block-CSR operator and factors it
-    /// with [`BandLu`]. Produces the same result as
-    /// [`NsSolver::refine`].
+    /// [`NsSolver::refine`] against a reusable workspace: the Picard
+    /// operator is refilled in `ws` and factored by
+    /// [`NsSolver::factor`]'s backend, so a sweep of `k` refinements
+    /// performs no `(3N)²` allocation after the first. Produces the same
+    /// result as [`NsSolver::refine`].
     pub fn refine_with(
         &self,
         state: &NsState,
@@ -845,19 +608,11 @@ impl NsSolver {
         ws: &mut NsWorkspace,
     ) -> Result<NsState, LinalgError> {
         let b = self.rhs(c);
-        match &self.disc {
-            Disc::Dense(_) => {
-                self.picard_matrix_into(state, &mut ws.a);
-                self.solve_assembled(ws, &b)?;
-            }
-            Disc::Sparse(_) => {
-                let blocks = self.picard_blocks(state);
-                self.solve_saddle(ws, &blocks, &b)?;
-            }
-        }
+        self.picard_operator(state, ws);
+        let x_new = self.factor(ws)?.solve(&b)?;
         let w = self.cfg.picard_damping;
         let mut x = state.stack().scaled(1.0 - w);
-        x.axpy(w, &ws.x);
+        x.axpy(w, &x_new);
         Ok(NsState::unstack(&x))
     }
 
@@ -869,7 +624,7 @@ impl NsSolver {
 
     /// [`NsSolver::solve`] against a reusable workspace. Optimizer loops
     /// that solve once per iteration (DAL, finite differences) should hold
-    /// one [`NsWorkspace`] across iterations so the matrix and factor
+    /// one [`NsWorkspace`] across iterations so the operator and factor
     /// storage are allocated exactly once per run.
     pub fn solve_with(
         &self,
@@ -894,24 +649,19 @@ impl NsSolver {
     }
 
     /// Interior divergence RMS `‖∇·u‖`, the incompressibility residual,
-    /// measured with the discretisation's own derivative operators.
+    /// measured with the discretisation's own derivative operators (rows
+    /// `i` of `C_x·[u; v; p]` hold `∂u/∂x`, rows `N + i` of `C_y·[u; v; p]`
+    /// hold `∂v/∂y`).
     pub fn divergence_norm(&self, state: &NsState) -> f64 {
-        let div = match &self.disc {
-            Disc::Dense(d) => {
-                let mut t = d.dm.dx.matvec(&state.u).expect("shape");
-                t += &d.dm.dy.matvec(&state.v).expect("shape");
-                t
-            }
-            Disc::Sparse(o) => {
-                let mut t = o.dx.matvec(&state.u);
-                t += &o.dy.matvec(&state.v);
-                t
-            }
-        };
+        let x = state.stack();
+        let [cx, cy] = &self.ops.adv;
+        let (gx, gy) = (cx.matvec(&x), cy.matvec(&x));
+        let n = self.nodes.len();
         let ni = self.nodes.n_interior().max(1);
         let mut s = 0.0;
         for i in self.nodes.interior_range() {
-            s += div[i] * div[i];
+            let div = gx[i] + gy[n + i];
+            s += div * div;
         }
         (s / ni as f64).sqrt()
     }
@@ -919,16 +669,9 @@ impl NsSolver {
     /// Nonlinear (steady) momentum residual RMS at the interior nodes — the
     /// Picard convergence indicator.
     pub fn momentum_residual(&self, state: &NsState, c: &DVec) -> f64 {
-        let r = match &self.disc {
-            Disc::Dense(_) => {
-                let a = self.picard_matrix(state);
-                &a.matvec(&state.stack()).expect("shape") - &self.rhs(c)
-            }
-            Disc::Sparse(_) => {
-                let a = self.picard_blocks(state).flatten();
-                &a.matvec(&state.stack()) - &self.rhs(c)
-            }
-        };
+        let mut ws = self.workspace();
+        let a = self.picard_operator(state, &mut ws);
+        let r = &a.matvec(&state.stack()) - &self.rhs(c);
         let n = self.nodes.len();
         let mut s = 0.0;
         let mut cnt = 0;
@@ -994,7 +737,6 @@ mod tests {
         cfg.channel.h = 0.15;
         cfg.backend = BackendKind::SparseGmres;
         let s = NsSolver::new(cfg).unwrap();
-        assert!(s.sparse_ops().is_some(), "sparse ops not built");
         let c = parabola_control(&s);
         let st = s.solve(&c, 10, None).unwrap();
         let (u_out, v_out) = s.outflow_profile(&st);
@@ -1016,24 +758,20 @@ mod tests {
 
     #[test]
     fn saddle_engine_matches_dense_lu_on_the_same_sparse_system() {
-        // Same-system backend equivalence: flatten the block operator the
-        // sparse engine solves and hand it to dense LU — the two solutions
-        // of the *identical* matrix must agree to ≤1e-12 relative, as two
-        // direct solves do. (The (3N)² densification happens only here, in
-        // the test.)
+        // Same-system backend equivalence: hand the CSR operator the sparse
+        // engine solves to dense LU — the two solutions of the *identical*
+        // matrix must agree to ≤1e-12 relative, as two direct solves do.
+        // (The (3N)² densification happens only here, in the test.)
         let mut cfg = small_cfg(50.0);
         cfg.channel.h = 0.2;
         cfg.backend = BackendKind::SparseGmres;
         let s = NsSolver::new(cfg).unwrap();
         let c = parabola_control(&s);
         let state = s.initial_state(&c);
-        let blocks = s.picard_blocks(&state);
-        let b = s.rhs(&c);
-        let xd = Lu::factor(&blocks.flatten().to_dense())
-            .unwrap()
-            .solve(&b)
-            .unwrap();
         let mut ws = s.workspace();
+        let a = s.picard_operator(&state, &mut ws).to_dense();
+        let b = s.rhs(&c);
+        let xd = Lu::factor(&a).unwrap().solve(&b).unwrap();
         let st1 = s.refine_with(&state, &c, &mut ws).unwrap();
         // Default damping is 1, so the refined state is the raw solution.
         let rel = (&st1.stack() - &xd).norm2() / xd.norm2().max(1e-300);
@@ -1057,12 +795,13 @@ mod tests {
         })
         .unwrap();
         let c = DVec::from_fn(s.n_controls(), |i| 0.1 + 0.02 * i as f64);
-        let a = s.picard_blocks(&s.initial_state(&c)).flatten();
+        let mut ws = s.workspace();
+        let a = s.picard_operator(&s.initial_state(&c), &mut ws);
         assert!(matches!(
-            linalg::EnvelopeLu::factor(&a),
+            linalg::EnvelopeLu::factor(a),
             Err(LinalgError::UnstablePivot { .. })
         ));
-        let band = BandLu::factor(&a).unwrap();
+        let band = BandLu::factor(a).unwrap();
         let lu = Lu::factor(&a.to_dense()).unwrap();
         let b = s.rhs(&c);
         let rel = |x: DVec, y: DVec| (&x - &y).norm_inf() / y.norm_inf();
@@ -1091,9 +830,11 @@ mod tests {
             "sparse ops hold {} bytes ≥ one dense (3N)² matrix",
             s.memory_bytes()
         );
-        // And the workspace carries no (3N)² buffer.
-        let ws = s.workspace();
-        assert_eq!(ws.a.shape(), (0, 0));
+        // And a workspace that has run a sweep carries no (3N)² LU.
+        let mut ws = s.workspace();
+        let c = DVec::from_fn(s.n_controls(), |i| 0.1 + 0.02 * i as f64);
+        s.refine_with(&s.initial_state(&c), &c, &mut ws).unwrap();
+        assert!(ws.lu.is_none());
     }
 
     #[test]

@@ -13,16 +13,18 @@
 //! ```
 //!
 //! discretised with the *same* coupled saddle-point machinery as the
-//! forward problem (reversed advection plus the `(∇u)ᵀξ` production terms;
-//! the `q·n` contribution to the outflow condition is dropped — a standard
-//! simplification). This is an optimise-then-discretise scheme: its
+//! forward problem: one row recipe on either discretisation, a CSR
+//! operator over a pattern fixed at build and refilled per state, factored
+//! by the forward solver's backend (reversed advection plus the `(∇u)ᵀξ`
+//! production terms; the `q·n` contribution to the outflow condition is
+//! dropped — a standard simplification). This is an
+//! optimise-then-discretise scheme: its
 //! gradient is *not* the exact gradient of the discrete cost, and the RBF
 //! inaccuracies in the adjoint advection at higher `Re` are exactly the
 //! failure mode the paper reports for DAL on this problem (§3.2, fig. 4b).
 
 use crate::ns::{NsSolver, NsState, NsWorkspace};
-use geometry::generators::channel_tags;
-use linalg::{BlockCsr, DMat, DVec, LinalgError, Triplets};
+use linalg::{Csr, DVec, LinalgError};
 
 /// Adjoint fields at the nodes.
 #[derive(Debug, Clone)]
@@ -46,144 +48,48 @@ impl<'s> NsAdjoint<'s> {
         NsAdjoint { solver }
     }
 
-    /// Assembles the coupled adjoint matrix for the (frozen) forward state
-    /// into a caller-owned `(3N)²` matrix.
-    fn adjoint_matrix_into(&self, state: &NsState, a: &mut DMat) -> Result<(), LinalgError> {
+    /// The coupled adjoint operator for the (frozen) forward `state`,
+    /// assembled in `ws` over its fixed pattern by the same row recipe as
+    /// the forward operator: diffusion, pressure-gradient, continuity and
+    /// pressure-BC rows copied from the constant part, the reversed
+    /// advection `−(u·∇)` and the diagonal `(∇u)ᵀξ` production couplings
+    /// on the interior momentum rows, and the Robin `ν∂x + u·e` rows for
+    /// `ξ_u` at the outflow. Block ordering is `ξ_u | ξ_v | q`.
+    pub fn adjoint_operator<'w>(&self, state: &NsState, ws: &'w mut NsWorkspace) -> &'w Csr {
         let s = self.solver;
-        let nodes = s.nodes();
-        let n = nodes.len();
-        let nu = s.nu_eff();
-        assert_eq!(a.shape(), (3 * n, 3 * n), "adjoint_matrix_into: shape");
-
-        // Start from the forward base (diffusion, pressure gradient,
-        // continuity, BC rows) and add the adjoint-specific pieces.
-        a.as_mut_slice().copy_from_slice(s.base().as_slice());
-
-        // Reversed advection −(u·∇) on the momentum interior rows, added
-        // in place over its fixed sparsity pattern (interior momentum rows
-        // × velocity blocks) — the same fused form as the forward
-        // `picard_matrix_into`, avoiding two `(3N)²` scale_rows temporaries.
-        let dx_int = s.dx_int();
-        let dy_int = s.dy_int();
-        for i in nodes.interior_range() {
-            let su = -state.u[i];
-            let sv = -state.v[i];
-            let dxr = dx_int.row(i);
-            let dyr = dy_int.row(i);
-            let row = &mut a.row_mut(i)[..n];
-            for j in 0..n {
-                row[j] = (row[j] + su * dxr[j]) + sv * dyr[j];
+        let n = s.nodes().len();
+        let op = &mut ws.op;
+        op.clone_from(&s.ops().adjoint);
+        s.refill_advected(op, |i, a, x, y| {
+            let (su, sv) = (-state.u[i], -state.v[i]);
+            for ((a, &x), &y) in a.iter_mut().zip(x).zip(y) {
+                *a = (*a + su * x) + sv * y;
             }
-            let row = &mut a.row_mut(n + i)[n..2 * n];
-            for j in 0..n {
-                row[j] = (row[j] + su * dxr[j]) + sv * dyr[j];
-            }
-        }
+        });
 
         // Production terms (∇u)ᵀξ — diagonal couplings frozen at the state.
-        let dxu = s.dm().dx.matvec(&state.u)?;
-        let dxv = s.dm().dx.matvec(&state.v)?;
-        let dyu = s.dm().dy.matvec(&state.u)?;
-        let dyv = s.dm().dy.matvec(&state.v)?;
-        for i in nodes.interior_range() {
-            a[(i, i)] += dxu[i];
-            a[(i, n + i)] += dxv[i];
-            a[(n + i, i)] += dyu[i];
-            a[(n + i, n + i)] += dyv[i];
-        }
-
-        // Adjoint outflow Robin rows for ξ_u: ν ∂/∂x + u·e.
-        for &i in s.outflow_idx() {
-            for j in 0..n {
-                a[(i, j)] = nu * s.dm().dx[(i, j)];
-            }
-            a[(i, i)] += state.u[i];
-            // Clear any pressure-gradient coupling on this boundary row.
-            for j in 0..n {
-                a[(i, 2 * n + j)] = 0.0;
-            }
-        }
-        Ok(())
-    }
-
-    /// Assembles the coupled adjoint operator as a `3 × 3` block-CSR
-    /// matrix (sparse mode only) — the same equations as the dense
-    /// [`NsAdjoint::solve_adjoint`] assembly, built from the RBF-FD
-    /// stencil operators without any `O(N²)` storage. Block ordering is
-    /// `ξ_u | ξ_v | q`: reversed advection `−(u·∇)` plus the diagonal
-    /// `(∇u)ᵀξ` production couplings on the interior momentum rows, the
-    /// Robin `ν∂x + u·e` rows for `ξ_u` at the outflow, and the forward
-    /// problem's pressure-gradient / continuity / pressure-BC blocks.
-    ///
-    /// # Panics
-    /// Panics under [`linalg::BackendKind::DenseLu`].
-    pub fn adjoint_blocks(&self, state: &NsState) -> BlockCsr {
-        let s = self.solver;
-        let ops = s
-            .sparse_ops()
-            .expect("adjoint_blocks requires BackendKind::SparseGmres");
-        let nodes = s.nodes();
-        let n = nodes.len();
-        let nu = s.nu_eff();
-
-        // Production terms (∇u)ᵀξ — diagonal couplings frozen at the state.
-        let dxu = ops.dx.matvec(&state.u);
-        let dxv = ops.dx.matvec(&state.v);
-        let dyu = ops.dy.matvec(&state.u);
-        let dyv = ops.dy.matvec(&state.v);
-
-        let push_row = |t: &mut Triplets, i: usize, cols: &[usize], vals: &[f64], scale: f64| {
-            for (&j, &v) in cols.iter().zip(vals) {
-                t.push(i, j, scale * v);
-            }
+        // Rows i of C_x·[u; v; p] hold ∂u/∂x, rows n + i hold ∂v/∂x (C_y
+        // likewise ∂/∂y).
+        let x = state.stack();
+        let [cx, cy] = &s.ops().adv;
+        let (gx, gy) = (cx.matvec(&x), cy.matvec(&x));
+        let mut add = |r: usize, c: usize, v: f64| {
+            let a = op
+                .get(r, c)
+                .expect("position reserved by the adjoint pattern");
+            op.set(r, c, a + v);
         };
-
-        let mut t_uu = Triplets::new(n, n);
-        let mut t_uv = Triplets::new(n, n);
-        let mut t_vu = Triplets::new(n, n);
-        let mut t_vv = Triplets::new(n, n);
-        for i in nodes.interior_range() {
-            // Diffusion −ν∇²: a_u0's interior rows hold exactly that.
-            let (ca, va) = ops.a_u0.row(i);
-            push_row(&mut t_uu, i, ca, va, 1.0);
-            push_row(&mut t_vv, i, ca, va, 1.0);
-            // Reversed advection −(u·∇) on both momentum blocks.
-            let (cx, vx) = ops.dx_int.row(i);
-            push_row(&mut t_uu, i, cx, vx, -state.u[i]);
-            push_row(&mut t_vv, i, cx, vx, -state.u[i]);
-            let (cy, vy) = ops.dy_int.row(i);
-            push_row(&mut t_uu, i, cy, vy, -state.v[i]);
-            push_row(&mut t_vv, i, cy, vy, -state.v[i]);
-            // Production couplings.
-            t_uu.push(i, i, dxu[i]);
-            t_uv.push(i, i, dxv[i]);
-            t_vu.push(i, i, dyu[i]);
-            t_vv.push(i, i, dyv[i]);
+        for i in s.nodes().interior_range() {
+            add(i, i, gx[i]);
+            add(i, n + i, gx[n + i]);
+            add(n + i, i, gy[i]);
+            add(n + i, n + i, gy[n + i]);
         }
-        for i in nodes.boundary_indices() {
-            if nodes.tag(i) == channel_tags::OUTFLOW {
-                // Robin row for ξ_u: ν ∂x + u·e; no pressure coupling
-                // (the (ξ_u, q) block has empty boundary rows already).
-                let (cx, vx) = ops.dx.row(i);
-                push_row(&mut t_uu, i, cx, vx, nu);
-                t_uu.push(i, i, state.u[i]);
-            } else {
-                t_uu.push(i, i, 1.0); // ξ_u = 0
-            }
-            t_vv.push(i, i, 1.0); // ξ_v = 0
+        // The u·e term of the outflow Robin rows.
+        for &i in s.outflow_idx() {
+            add(i, i, state.u[i]);
         }
-
-        let mut blocks = BlockCsr::new(3, n);
-        blocks.set_block(0, 0, t_uu.to_csr());
-        blocks.set_block(0, 1, t_uv.to_csr());
-        blocks.set_block(1, 0, t_vu.to_csr());
-        blocks.set_block(1, 1, t_vv.to_csr());
-        blocks.set_block(0, 2, ops.dx_int.clone());
-        blocks.set_block(1, 2, ops.dy_int.clone());
-        blocks.set_block(2, 0, ops.dx_int.clone());
-        blocks.set_block(2, 1, ops.dy_int.clone());
-        blocks.set_block(2, 2, ops.a_p.clone());
-        blocks
+        &ws.op
     }
 
     /// Solves the coupled adjoint system for the given forward state.
@@ -196,12 +102,10 @@ impl<'s> NsAdjoint<'s> {
     }
 
     /// [`NsAdjoint::solve_adjoint`] against a reusable workspace. The
-    /// adjoint matrix shares the forward system's shape and storage needs, so
-    /// the *same* [`NsWorkspace`] serves the Picard sweeps and the adjoint
-    /// solve: dense mode assembles over the matrix buffer and refactors the
-    /// LU in place; sparse mode factors the flattened block operator with
-    /// [`linalg::BandLu`]. Produces the same adjoint fields as the
-    /// allocating path.
+    /// adjoint operator shares the forward system's shape and storage
+    /// needs, so the *same* [`NsWorkspace`] serves the Picard sweeps and
+    /// the adjoint solve, factored by the same backend dispatch. Produces
+    /// the same adjoint fields as the allocating path.
     pub fn solve_adjoint_with(
         &self,
         state: &NsState,
@@ -215,14 +119,8 @@ impl<'s> NsAdjoint<'s> {
         for (j, &i) in s.outflow_idx().iter().enumerate() {
             b[i] = -(u_out[j] - s.target_u()[j]);
         }
-        if s.sparse_ops().is_some() {
-            let blocks = self.adjoint_blocks(state);
-            s.solve_saddle(ws, &blocks, &b)?;
-        } else {
-            self.adjoint_matrix_into(state, &mut ws.a)?;
-            s.solve_assembled(ws, &b)?;
-        }
-        let x = &ws.x;
+        self.adjoint_operator(state, ws);
+        let x = s.factor(ws)?.solve(&b)?;
         Ok(AdjointState {
             xi_u: DVec(x.as_slice()[..n].to_vec()),
             xi_v: DVec(x.as_slice()[n..2 * n].to_vec()),
@@ -235,15 +133,13 @@ impl<'s> NsAdjoint<'s> {
     /// convention; validated against the exact DP gradient in the tests).
     pub fn gradient(&self, adj: &AdjointState) -> Result<DVec, LinalgError> {
         let s = self.solver;
-        let dx_xi = match s.sparse_ops() {
-            Some(ops) => ops.dx.matvec(&adj.xi_u),
-            None => s.dm().dx.matvec(&adj.xi_u)?,
-        };
+        let dx_xi = s.ops().dx_inflow.matvec(&adj.xi_u);
         let nu = s.nu_eff();
         Ok(DVec(
             s.inflow_idx()
                 .iter()
-                .map(|&i| adj.q[i] - nu * dx_xi[i])
+                .zip(dx_xi.iter())
+                .map(|(&i, &d)| adj.q[i] - nu * d)
                 .collect(),
         ))
     }
@@ -264,8 +160,8 @@ impl<'s> NsAdjoint<'s> {
     }
 
     /// [`NsAdjoint::cost_and_grad`] against a reusable workspace: every
-    /// Picard sweep *and* the adjoint solve recycle one `(3N)²` matrix and
-    /// one LU factor storage, so an Adam run performs zero large allocations
+    /// Picard sweep *and* the adjoint solve recycle the workspace's operator
+    /// and factor storage, so an Adam run performs no `(3N)²` allocation
     /// after its first gradient evaluation.
     pub fn cost_and_grad_with(
         &self,

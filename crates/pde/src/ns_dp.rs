@@ -10,11 +10,12 @@
 //! backend. The coupled operator is the fixed decomposition
 //! `A₀ + diag(s_u)·C_x + diag(s_v)·C_y` (CSR structure matrices from
 //! [`NsSolver::advection_structs`]); it is assembled *untaped* for the
-//! current iterate — densely into one reused `(3N)²` buffer and LU-factored
-//! under [`linalg::BackendKind::DenseLu`], as block CSR flattened into one
-//! [`linalg::BandLu`] under [`linalg::BackendKind::SparseGmres`].
-//! The reverse sweep does one transpose solve per refinement and contracts
-//! `Ā = −s xᵀ` against `C_x`, `C_y` without forming it.
+//! current iterate by the plain solver's own [`NsSolver::picard_operator`]
+//! and factored by the same backend dispatch — a dense LU under
+//! [`linalg::BackendKind::DenseLu`], a [`linalg::BandLu`] under
+//! [`linalg::BackendKind::SparseGmres`]. The reverse sweep does one
+//! transpose solve per refinement and contracts `Ā = −s xᵀ` against `C_x`,
+//! `C_y` without forming it.
 //!
 //! Under `DenseLu` the node keeps only its `(3N)²` LU factor, so tape
 //! memory grows linearly in `k` (one factor per refinement) while the
@@ -29,7 +30,7 @@
 use crate::ns::{NsSolver, NsState};
 use autodiff::tensor::{self, Tensor};
 use autodiff::Tape;
-use linalg::{BackendKind, BandLu, DMat, DVec, LinalgError, LinearBackend, Lu};
+use linalg::{DMat, DVec, LinalgError};
 use std::sync::Arc;
 
 /// Statistics captured from the DP tape — feeds the Table 3 reproduction.
@@ -134,7 +135,8 @@ impl<'s> NsDp<'s> {
         let rhs = cv.matmul_const_l(&self.placement_in).add_const(&self.rhs0);
         let w = s.cfg().picard_damping;
         let structs = s.advection_structs();
-        // Dense mode assembles every sweep's matrix into this one buffer.
+        // Every sweep refills this workspace's operator (and, under
+        // DenseLu, its dense image).
         let mut ws = s.workspace();
 
         for _ in 0..k {
@@ -146,15 +148,8 @@ impl<'s> NsDp<'s> {
             // it is A₀ + diag(su)·C_x + diag(sv)·C_y, and `solve_scaled`
             // differentiates through exactly that decomposition.
             let state_now = NsState::unstack(&tensor::to_dvec(&x.value()));
-            let be: Arc<dyn LinearBackend> = match s.cfg().backend {
-                BackendKind::DenseLu => {
-                    s.picard_matrix_into(&state_now, &mut ws.a);
-                    Arc::new(Lu::factor(&ws.a)?)
-                }
-                BackendKind::SparseGmres => {
-                    Arc::new(BandLu::factor(&s.picard_blocks(&state_now).flatten())?)
-                }
-            };
+            s.picard_operator(&state_now, &mut ws);
+            let be = s.factor(&mut ws)?;
             let x_new = tape.solve_scaled(&be, &[su, sv], &structs, rhs)?;
             x = x.scale(1.0 - w).add(x_new.scale(w));
         }
@@ -207,6 +202,7 @@ mod tests {
     use crate::ns::NsConfig;
     use autodiff::gradcheck::rel_error;
     use geometry::generators::ChannelConfig;
+    use linalg::{LinearBackend, Lu};
 
     fn tiny_solver(re: f64) -> NsSolver {
         NsSolver::new(NsConfig {
@@ -282,7 +278,9 @@ mod tests {
         let c = DVec(s.inflow_y().iter().map(|&y| poiseuille(y, 1.0)).collect());
         let k = 4;
         let (_, _, st) = NsDp::new(&s).cost_and_grad(&c, k, None).unwrap();
-        let lu = Lu::factor(&s.picard_matrix(&s.initial_state(&c))).unwrap();
+        let mut ws = s.workspace();
+        let a = s.picard_operator(&s.initial_state(&c), &mut ws).to_dense();
+        let lu = Lu::factor(&a).unwrap();
         let bound = k * LinearBackend::memory_bytes(&lu) + 1024 * n;
         assert!(
             st.tape_bytes <= bound,

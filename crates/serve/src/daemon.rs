@@ -39,7 +39,9 @@
 use crate::batch::Batcher;
 use crate::cache::{FactorCache, Lookup};
 use crate::wire::{self, Request};
-use control::api::{BackendKind, ControlError, ProblemSpec, RunCtx, RunSpec, SpecRun, Strategy};
+use control::api::{
+    BackendKind, BuiltProblem, ControlError, ProblemSpec, RunCtx, RunSpec, SpecRun, Strategy,
+};
 use driver::{LedgerRecord, RunStatus};
 use linalg::DVec;
 use meshfree_runtime::CancelToken;
@@ -240,10 +242,12 @@ impl Server {
         let answer = match self.cache.get_or_build(&spec) {
             Ok((built, lookup)) => {
                 self.note_lookup(id, lookup, writer, summary)?;
-                self.batcher
-                    .submit(spec.build_key(), built, control)
-                    .recv()
-                    .unwrap_or_else(|_| Err("batcher worker gone".to_string()))
+                check_control(&built, &control).and_then(|()| {
+                    self.batcher
+                        .submit(spec.build_key(), built, control)
+                        .recv()
+                        .unwrap_or_else(|_| Err("batcher worker gone".to_string()))
+                })
             }
             Err(e) => Err(e.to_string()),
         };
@@ -270,10 +274,12 @@ impl Server {
         let answer = match self.cache.get_or_build(&spec.problem) {
             Ok((built, lookup)) => {
                 self.note_lookup(id, lookup, writer, summary)?;
-                built
-                    .surrogate_for(spec)
-                    .map(|surrogate| surrogate.cost(&control))
-                    .map_err(|e| e.to_string())
+                check_control(&built, &control).and_then(|()| {
+                    built
+                        .surrogate_for(spec)
+                        .map(|surrogate| surrogate.cost(&control))
+                        .map_err(|e| e.to_string())
+                })
             }
             Err(e) => Err(e.to_string()),
         };
@@ -397,6 +403,22 @@ fn done_record(id: &str, spec: &RunSpec, run: &SpecRun) -> LedgerRecord {
             .iter()
             .map(|e| e.iter as f64)
             .collect(),
+    }
+}
+
+/// Refuses an `eval` / `neural-eval` control whose length is not the
+/// build's control dimension. Past this check the solver and the surrogate
+/// assert the length: on the batcher thread that kills the worker and
+/// stalls every later eval, in the surrogate it ends the daemon.
+fn check_control(built: &BuiltProblem, control: &DVec) -> Result<(), String> {
+    let expected = built.laplace().map_or(0, |p| p.n_controls());
+    if control.len() == expected {
+        Ok(())
+    } else {
+        Err(format!(
+            "control has {} values; this build takes {expected}",
+            control.len()
+        ))
     }
 }
 

@@ -15,9 +15,10 @@
 //!    `ns_h = 0.14` node count — while reporting every solve on the
 //!    `"linsolve"` trace layer (`envelope_lu` for Laplace, `band_lu` for
 //!    the saddle systems, each factored under a `band_lu_factor` span).
-//! 3. The sparse NS saddle assembly is exact (its action matches its own
-//!    densified image and the taped-DP `A₀ + Σ diag(sₖ)Cₖ` decomposition
-//!    to ≤ 1e-10) and bitwise deterministic across pool widths.
+//! 3. The NS saddle assembly of both discretisations is exact (its action
+//!    matches its own densified image and the taped-DP
+//!    `A₀ + Σ diag(sₖ)Cₖ` decomposition to ≤ 1e-10) and bitwise
+//!    deterministic across pool widths.
 
 use meshfree_oc::autodiff::gradcheck::rel_error;
 use meshfree_oc::check::golden::{compare, GoldenPolicy, GoldenSnapshot};
@@ -151,8 +152,8 @@ fn solve_many_is_bitwise_identical_to_one_at_a_time_on_both_backends() {
     }
 }
 
-/// A genuinely sparse (RBF-FD saddle-point) Navier–Stokes solver.
-fn sparse_ns_solver(h: f64) -> NsSolver {
+/// A Navier–Stokes solver on either discretisation.
+fn ns_solver(h: f64, backend: BackendKind) -> NsSolver {
     NsSolver::new(NsConfig {
         channel: ChannelConfig {
             h,
@@ -160,10 +161,21 @@ fn sparse_ns_solver(h: f64) -> NsSolver {
         },
         re: 40.0,
         slot_velocity: 0.2,
-        backend: BackendKind::SparseGmres,
+        backend,
         ..Default::default()
     })
     .unwrap()
+}
+
+/// A genuinely sparse (RBF-FD saddle-point) Navier–Stokes solver.
+fn sparse_ns_solver(h: f64) -> NsSolver {
+    ns_solver(h, BackendKind::SparseGmres)
+}
+
+/// Both Navier–Stokes builds at `h`: the dense global-collocation one and
+/// the RBF-FD one.
+fn both_ns_solvers(h: f64) -> [NsSolver; 2] {
+    [BackendKind::DenseLu, BackendKind::SparseGmres].map(|b| ns_solver(h, b))
 }
 
 fn test_control(s: &NsSolver) -> DVec {
@@ -172,11 +184,18 @@ fn test_control(s: &NsSolver) -> DVec {
 
 #[test]
 fn ns_saddle_assembly_matches_its_dense_image_and_the_dp_decomposition() {
-    let s = sparse_ns_solver(0.18);
+    for s in both_ns_solvers(0.18) {
+        saddle_assembly_matches_its_dense_image_and_the_dp_decomposition(&s);
+    }
+}
+
+fn saddle_assembly_matches_its_dense_image_and_the_dp_decomposition(s: &NsSolver) {
+    let backend = s.cfg().backend;
     let n = s.nodes().len();
-    let c = test_control(&s);
+    let c = test_control(s);
     let state = s.initial_state(&c);
-    let a = s.picard_blocks(&state).flatten();
+    let mut ws = s.workspace();
+    let a = s.picard_operator(&state, &mut ws).clone();
     let x = DVec::from_fn(3 * n, |i| (0.17 * i as f64).sin());
 
     // Sparse-assembled vs dense-assembled action of the same operator.
@@ -185,7 +204,7 @@ fn ns_saddle_assembly_matches_its_dense_image_and_the_dp_decomposition() {
     for i in 0..3 * n {
         assert!(
             (y_sparse[i] - y_dense[i]).abs() <= 1e-10 * (1.0 + y_dense[i].abs()),
-            "operator action drifts at row {i}: {} vs {}",
+            "{backend:?}: operator action drifts at row {i}: {} vs {}",
             y_sparse[i],
             y_dense[i]
         );
@@ -193,16 +212,16 @@ fn ns_saddle_assembly_matches_its_dense_image_and_the_dp_decomposition() {
 
     // The taped-DP decomposition A = A₀ + diag(s_u)·C_x + diag(s_v)·C_y
     // must reproduce the Picard assembly exactly (this identity is what
-    // makes the sparse DP gradient exact).
+    // makes the DP gradient exact on either build).
     let zero = NsState {
         u: DVec::zeros(n),
         v: DVec::zeros(n),
         p: DVec::zeros(n),
     };
-    let base = s.picard_blocks(&zero).flatten();
-    let ops = s.sparse_ops().expect("sparse solver has sparse ops");
-    let cx = ops.adv3_x.matvec(&x);
-    let cy = ops.adv3_y.matvec(&x);
+    let base = s.picard_operator(&zero, &mut ws);
+    let [adv_x, adv_y] = s.advection_structs();
+    let cx = adv_x.matvec(&x);
+    let cy = adv_y.matvec(&x);
     let mut y_dec = base.matvec(&x);
     for i in 0..n {
         // s_u = [u; u; 0] and s_v = [v; v; 0] in the u|v|p block ordering.
@@ -212,7 +231,7 @@ fn ns_saddle_assembly_matches_its_dense_image_and_the_dp_decomposition() {
     for i in 0..3 * n {
         assert!(
             (y_sparse[i] - y_dec[i]).abs() <= 1e-10 * (1.0 + y_sparse[i].abs()),
-            "DP decomposition drifts at row {i}: {} vs {}",
+            "{backend:?}: DP decomposition drifts at row {i}: {} vs {}",
             y_dec[i],
             y_sparse[i]
         );
@@ -239,8 +258,9 @@ fn dal_run_matches_dense_lu_of_the_same_saddle_systems(h: f64) {
 
     let b = s.rhs(&c);
     let mut ref_state = s.initial_state(&c);
+    let mut ws = s.workspace();
     for _ in 0..k {
-        let a = s.picard_blocks(&ref_state).flatten().to_dense();
+        let a = s.picard_operator(&ref_state, &mut ws).to_dense();
         let x = Lu::factor(&a).unwrap().solve(&b).unwrap();
         ref_state = NsState::unstack(&x); // picard_damping = 1
     }
@@ -259,7 +279,7 @@ fn dal_run_matches_dense_lu_of_the_same_saddle_systems(h: f64) {
         p: adj.q.clone(),
     }
     .stack();
-    let at = dal.adjoint_blocks(&st).flatten().to_dense();
+    let at = dal.adjoint_operator(&st, &mut ws).to_dense();
     let (u_out, _) = s.outflow_profile(&st);
     let mut ba = DVec::zeros(3 * n);
     for (j, &i) in s.outflow_idx().iter().enumerate() {
@@ -297,20 +317,27 @@ fn sparse_ns_dp_run_is_consistent_and_its_gradient_is_exact() {
 
 #[test]
 fn sparse_ns_assembly_is_bitwise_deterministic_across_pool_widths() {
-    let build = || {
-        let s = sparse_ns_solver(0.2);
-        let c = test_control(&s);
-        let state = s.initial_state(&c);
-        s.picard_blocks(&state).flatten()
-    };
-    let wide = build();
-    let narrow = par::serial_scope(build);
-    assert_eq!(wide.nnz(), narrow.nnz(), "nnz differs across pool widths");
-    assert_eq!(
-        wide.to_dense().as_slice(),
-        narrow.to_dense().as_slice(),
-        "sparse NS assembly is not bitwise deterministic across pool widths"
-    );
+    for backend in [BackendKind::DenseLu, BackendKind::SparseGmres] {
+        let build = || {
+            let s = ns_solver(0.2, backend);
+            let c = test_control(&s);
+            let state = s.initial_state(&c);
+            let mut ws = s.workspace();
+            s.picard_operator(&state, &mut ws).clone()
+        };
+        let wide = build();
+        let narrow = par::serial_scope(build);
+        assert_eq!(
+            wide.nnz(),
+            narrow.nnz(),
+            "{backend:?}: nnz differs across pool widths"
+        );
+        assert_eq!(
+            wide.to_dense().as_slice(),
+            narrow.to_dense().as_slice(),
+            "{backend:?}: NS assembly is not bitwise deterministic across pool widths"
+        );
+    }
 }
 
 #[test]

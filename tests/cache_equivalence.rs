@@ -1,7 +1,7 @@
 //! Cache-equivalence gates for the hot-path performance pass.
 //!
 //! Every reuse layer introduced for `BENCH_perf.json` — the cached Laplace
-//! factorisation, the NS Picard workspace (`Lu::refactor` + buffer reuse),
+//! factorisation, the NS Picard workspace (`Lu::refactor_csr` + buffer reuse),
 //! and the shared RBF-FD stencil sets — must be a pure optimisation: the
 //! results have to match the allocating/uncached paths **exactly** (`==` on
 //! every `f64`), and they have to do so at every thread-pool width, because

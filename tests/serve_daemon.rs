@@ -217,6 +217,46 @@ fn malformed_lines_get_structured_errors_and_the_session_continues() {
     ));
 }
 
+/// A control of the wrong length is a request error like any other: the
+/// `neural-eval` and the `eval` each get one `error` line, and the session
+/// — the batcher worker included — still answers the next well-formed
+/// `eval`. (The length would otherwise reach the surrogate's and the
+/// solver's asserts: the first ends the daemon, the second kills the
+/// batcher worker so later evals never answer.)
+#[test]
+fn wrong_length_controls_get_errors_and_the_next_eval_its_cost() {
+    let server = test_server();
+    let n_controls = LaplaceControlProblem::new(8)
+        .expect("reference problem")
+        .n_controls();
+    let short = DVec::from_fn(2, |i| 0.1 * i as f64);
+    assert_ne!(short.len(), n_controls);
+    let control = DVec::from_fn(n_controls, |i| 0.01 * i as f64);
+    let requests = format!(
+        "{}\n{}\n{}\n{}\n",
+        wire::neural_eval_request_line("ne-short", 8, BackendKind::DenseLu, 1, &short),
+        wire::eval_request_line("e-short", 8, BackendKind::DenseLu, &short),
+        wire::eval_request_line("e-ok", 8, BackendKind::DenseLu, &control),
+        wire::done_request_line("bye")
+    );
+    let (responses, summary) = piped_session(&server, requests);
+    assert_eq!((summary.errors, summary.evals), (2, 1), "{summary:?}");
+    for id in ["ne-short", "e-short"] {
+        let errors = responses
+            .iter()
+            .filter(|r| matches!(r, Response::Error { id: rid, .. } if rid == id))
+            .count();
+        assert_eq!(errors, 1, "{id}: {responses:?}");
+    }
+    assert!(responses
+        .iter()
+        .any(|r| matches!(r, Response::Cost { id, cost, .. } if id == "e-ok" && cost.is_finite())));
+    assert!(matches!(
+        responses.last(),
+        Some(Response::Done { id }) if id == "bye"
+    ));
+}
+
 /// Protocol v2 over the wire: a `neural-op` run and a `neural-eval` in
 /// one session both answer bitwise identically to running the same
 /// train/freeze/optimize lifecycle locally — the daemon adds caching,
