@@ -296,18 +296,6 @@ impl Csr {
         d
     }
 
-    /// Scales row `i` by `s[i]` in place.
-    pub fn scale_rows_mut(&mut self, s: &[f64]) {
-        assert_eq!(s.len(), self.rows, "scale_rows: length mismatch");
-        for (i, &si) in s.iter().enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for v in &mut self.values[lo..hi] {
-                *v *= si;
-            }
-        }
-    }
-
     /// Reads the stored value at `(i, j)`, or `None` if outside the
     /// sparsity pattern (binary search within the row).
     pub fn get(&self, i: usize, j: usize) -> Option<f64> {
@@ -331,27 +319,6 @@ impl Csr {
             }
             Err(_) => false,
         }
-    }
-
-    /// Returns `alpha*self + beta*other` (same sparsity union).
-    pub fn add_scaled(&self, alpha: f64, other: &Csr, beta: f64) -> Csr {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "add_scaled: shape mismatch"
-        );
-        let mut t = Triplets::new(self.rows, self.cols);
-        for i in 0..self.rows {
-            let (c1, v1) = self.row(i);
-            for (&j, &v) in c1.iter().zip(v1) {
-                t.push(i, j, alpha * v);
-            }
-            let (c2, v2) = other.row(i);
-            for (&j, &v) in c2.iter().zip(v2) {
-                t.push(i, j, beta * v);
-            }
-        }
-        t.to_csr()
     }
 }
 
@@ -432,17 +399,6 @@ mod tests {
         assert_eq!(sample().diagonal().as_slice(), &[1.0, 3.0, 5.0]);
     }
 
-    #[test]
-    fn scale_rows_and_add_scaled() {
-        let mut c = sample();
-        c.scale_rows_mut(&[2.0, 1.0, 0.5]);
-        assert_eq!(c.to_dense()[(0, 2)], 4.0);
-        assert_eq!(c.to_dense()[(2, 0)], 2.0);
-        let s = sample();
-        let sum = s.add_scaled(1.0, &s, 1.0);
-        assert_eq!(sum.to_dense()[(2, 2)], 10.0);
-    }
-
     /// A rectangular matrix with an empty row and a duplicate-summed entry:
     /// the shapes the structured-grid assembly never produces but the
     /// algebra must still handle.
@@ -499,40 +455,6 @@ mod tests {
         // And the transposed matvec agrees with matvec_t on the original.
         let x = DVec(vec![1.0, 2.0, 3.0]);
         assert!((&t.matvec(&x) - &a.matvec_t(&x)).norm2() < 1e-15);
-    }
-
-    #[test]
-    fn add_scaled_matches_dense_on_disjoint_patterns() {
-        // Patterns that only partially overlap, plus an empty row in one
-        // operand: the union pattern must carry exact dense values.
-        let a = awkward();
-        let mut t = Triplets::new(3, 4);
-        t.push(0, 0, 7.0);
-        t.push(1, 2, 1.0);
-        let b = t.to_csr();
-        let s = a.add_scaled(2.0, &b, -3.0);
-        let ad = a.to_dense();
-        let bd = b.to_dense();
-        for i in 0..3 {
-            for j in 0..4 {
-                let expect = 2.0 * ad[(i, j)] - 3.0 * bd[(i, j)];
-                assert_eq!(s.to_dense()[(i, j)], expect, "at ({i}, {j})");
-            }
-        }
-    }
-
-    #[test]
-    fn scale_rows_mut_matches_dense_and_skips_empty_rows() {
-        let mut a = awkward();
-        let before = a.to_dense();
-        let s = [3.0, -0.5, 2.0];
-        a.scale_rows_mut(&s);
-        for i in 0..3 {
-            for j in 0..4 {
-                assert_eq!(a.to_dense()[(i, j)], s[i] * before[(i, j)]);
-            }
-        }
-        assert_eq!(a.nnz(), 3, "scaling must not change the pattern");
     }
 
     #[test]

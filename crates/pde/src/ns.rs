@@ -598,7 +598,7 @@ impl NsSolver {
 
     /// [`NsSolver::refine`] against a reusable workspace: the Picard
     /// operator is refilled in `ws` and factored by
-    /// [`NsSolver::factor`]'s backend, so a sweep of `k` refinements
+    /// `NsSolver::factor`'s backend, so a sweep of `k` refinements
     /// performs no `(3N)²` allocation after the first. Produces the same
     /// result as [`NsSolver::refine`].
     pub fn refine_with(

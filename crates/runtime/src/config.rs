@@ -45,7 +45,8 @@ pub const THREADS_ENV: &str = "MESHFREE_THREADS";
 /// bytes.
 pub const CACHE_BYTES_ENV: &str = "MESHFREE_CACHE_BYTES";
 /// Environment variable holding the serve eval-batching window in
-/// milliseconds.
+/// milliseconds: the longest an eval waits for company. The window
+/// closes early once every live session has an eval queued.
 pub const BATCH_WINDOW_ENV: &str = "MESHFREE_BATCH_WINDOW_MS";
 /// Environment variable naming the telemetry sink path (`.jsonl`/`.csv`).
 pub const TRACE_ENV: &str = "MESHFREE_TRACE";
@@ -54,7 +55,8 @@ pub const BLESS_ENV: &str = "MESHFREE_BLESS";
 
 /// Default serve cache budget when nothing else specifies one: 256 MiB.
 pub const DEFAULT_CACHE_BYTES: usize = 256 * 1024 * 1024;
-/// Default serve eval-batching window: 2 ms.
+/// Default serve eval-batching window (the longest an eval waits for
+/// company): 2 ms.
 pub const DEFAULT_BATCH_WINDOW: Duration = Duration::from_millis(2);
 
 /// The resolved runtime configuration. See the [module docs](self) for

@@ -32,7 +32,7 @@
 
 use control::api::{BuiltProblem, ControlError, ProblemSpec};
 use meshfree_runtime::trace;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable holding the cache budget in bytes (re-exported
 /// from [`meshfree_runtime::config`], where all `MESHFREE_*` knobs now
@@ -93,6 +93,13 @@ impl FactorCache {
         FactorCache::new(meshfree_runtime::RuntimeConfig::global().cache_bytes)
     }
 
+    /// Locks the entries. Every update keeps the entries and the byte
+    /// total in step, and a build that panics changes neither, so
+    /// poisoning is ignored and the daemon keeps serving.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured byte budget.
     pub fn budget(&self) -> usize {
         self.budget
@@ -100,13 +107,13 @@ impl FactorCache {
 
     /// Resident bytes right now.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().expect("cache lock poisoned").bytes
+        self.lock().bytes
     }
 
     /// Resident keys in least-recently-used-first order (test hook: the
     /// deterministic-eviction gate asserts on this ordering).
     pub fn keys_lru_first(&self) -> Vec<String> {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         let mut keyed: Vec<(u64, String)> = inner
             .entries
             .iter()
@@ -128,7 +135,7 @@ impl FactorCache {
         spec: &ProblemSpec,
     ) -> Result<(Arc<BuiltProblem>, Lookup), ControlError> {
         let key = spec.build_key();
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         inner.seq += 1;
         let seq = inner.seq;
         if let Some(e) = inner.entries.iter_mut().find(|e| e.key == key) {
@@ -248,6 +255,25 @@ mod tests {
         assert_eq!(cache.bytes(), 0);
         let (_, l) = cache.get_or_build(&synthetic_spec(6)).unwrap();
         assert_eq!(l, Lookup::Hit);
+    }
+
+    #[test]
+    fn a_panic_while_holding_the_lock_does_not_stop_later_lookups() {
+        let cache = FactorCache::new(DEFAULT_CACHE_BYTES);
+        let spec = laplace_spec(8);
+        cache.get_or_build(&spec).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.inner.lock().unwrap();
+                panic!("panic while holding the cache lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && cache.inner.is_poisoned());
+        let (_, lookup) = cache.get_or_build(&spec).unwrap();
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(cache.bytes() > 0);
+        assert_eq!(cache.keys_lru_first(), vec![spec.build_key()]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!   [`RunCtx`] supervised by a per-client [`CancelToken`]; the terminal
 //!   outcome streams back as a ledger-schema record line.
 //! * `eval` requests go through the [`Batcher`], which may coalesce them
-//!   with other clients' same-operator evaluations.
+//!   with other clients' same-operator evaluations. Each session is
+//!   registered with the batcher while it lasts, so a batch closes as
+//!   soon as every live session has an eval waiting in it.
 //! * `neural-eval` requests (protocol v2) answer with the frozen
 //!   surrogate's predicted cost — the surrogate is trained on first use
 //!   and cached on the built problem, so steady-state answers never
@@ -57,7 +59,8 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Cache budget in bytes.
     pub cache_bytes: usize,
-    /// Batching window for `eval` requests.
+    /// Batching window for `eval` requests: the longest an eval waits
+    /// for company.
     pub batch_window: Duration,
 }
 
@@ -130,6 +133,9 @@ impl Server {
         R: Read + Send + 'static,
         W: Write,
     {
+        // Registered for the whole session, so the batcher knows when
+        // every live session is waiting in its window.
+        let session = self.batcher.session();
         let client = CancelToken::new();
         let (tx, rx) = channel::<Result<Request, String>>();
         let reader_cancel = client.clone();
@@ -187,6 +193,7 @@ impl Server {
                 break;
             }
         }
+        drop(session);
         summary.cancelled = client.is_cancelled();
         let _ = reader_thread.join();
         summary

@@ -21,7 +21,8 @@
 //! * [`batch::Batcher`] — coalesces same-operator Laplace `eval`
 //!   requests arriving within a window into one blocked multi-RHS
 //!   `Lu` solve (`LinearBackend::solve_many`), bitwise-invisible to the
-//!   clients.
+//!   clients. The window is the longest an eval waits for company: it
+//!   closes early once every live client session has an eval queued.
 //! * [`daemon::Server`] — the per-client serve loop with `CancelToken`
 //!   cleanup when a socket client dies mid-request.
 //! * [`wire`] — the request/response line codec.

@@ -11,7 +11,9 @@
 //! Knobs (environment, resolved once at startup through
 //! `meshfree_runtime::RuntimeConfig`): `MESHFREE_CACHE_BYTES`
 //! (factorization-cache budget, default 256 MiB),
-//! `MESHFREE_BATCH_WINDOW_MS` (eval batching window, default 2 ms),
+//! `MESHFREE_BATCH_WINDOW_MS` (the longest an eval waits for company,
+//! default 2 ms; the window closes early once every live session has an
+//! eval queued),
 //! `MESHFREE_THREADS` (solver pool width). Environment values override
 //! builder-supplied defaults; `--cache-bytes N` overrides the cache
 //! budget from the command line (strongest, being explicit per-process).

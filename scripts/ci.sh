@@ -81,7 +81,10 @@ echo "==> serve daemon smoke (cache amortization over the wire)"
 # the stdin JSONL protocol: the client asserts exactly one build plus
 # cache hits for the rest, one terminal record per request, a `done`
 # acknowledgement, a clean exit, and that the served result is bitwise
-# identical to direct in-process execution.
+# identical to direct in-process execution. The daemon runs with
+# MESHFREE_BATCH_WINDOW_MS=2000; four evals sent after the runs must each
+# answer well inside that window (the lone session closes its batch at
+# once) and equal in-process `cost` bit for bit.
 cargo run -q --release --example serve_client -- --smoke
 
 echo "==> per-crate test counts"

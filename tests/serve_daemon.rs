@@ -2,7 +2,9 @@
 //! sharing one cached build must get bitwise-identical results to direct
 //! execution, a client dying mid-request must cancel its run without
 //! poisoning the shared cache, and malformed request lines must be
-//! answered with structured errors rather than disconnects.
+//! answered with structured errors rather than disconnects. With a long
+//! batching window, an eval is answered as soon as every live session
+//! has one queued, not when the window runs out.
 
 use meshfree_oc::control::{
     execute, BackendKind, LaplaceSurrogate, RunSpec, Strategy, SurrogateSpec,
@@ -11,10 +13,11 @@ use meshfree_oc::linalg::DVec;
 use meshfree_oc::pde::LaplaceControlProblem;
 use meshfree_oc::serve::wire::{self, Response, PROTOCOL_ID};
 use meshfree_oc::serve::{ClientSummary, ServeConfig, Server};
-use std::io::{Cursor, Read, Write};
+use std::io::{BufRead, BufReader, Cursor, Lines, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn test_server() -> Arc<Server> {
     Arc::new(Server::new(&ServeConfig {
@@ -38,6 +41,176 @@ fn piped_session(server: &Server, requests: String) -> (Vec<Response>, ClientSum
     let mut out = Vec::new();
     let summary = server.serve_stream(Cursor::new(requests.into_bytes()), &mut out, true);
     (parse_lines(&out), summary)
+}
+
+/// Far longer than any answer below may take: an eval that waits it out
+/// fails the `< 1 s` assertions.
+const LONG_WINDOW: Duration = Duration::from_secs(2);
+
+fn long_window_server() -> Arc<Server> {
+    Arc::new(Server::new(&ServeConfig {
+        cache_bytes: 256 * 1024 * 1024,
+        batch_window: LONG_WINDOW,
+    }))
+}
+
+/// The client end of one socket session, served on its own thread.
+struct Client {
+    stream: UnixStream,
+    lines: Lines<BufReader<UnixStream>>,
+    daemon: JoinHandle<ClientSummary>,
+}
+
+impl Client {
+    fn connect(server: &Arc<Server>) -> Client {
+        let (daemon_end, client_end) = UnixStream::pair().expect("socketpair");
+        let writer = daemon_end.try_clone().expect("clone socket");
+        let server = Arc::clone(server);
+        let daemon = std::thread::spawn(move || server.serve_stream(daemon_end, writer, false));
+        let lines = BufReader::new(client_end.try_clone().expect("clone socket")).lines();
+        Client {
+            stream: client_end,
+            lines,
+            daemon,
+        }
+    }
+
+    fn send(&mut self, line: &str) {
+        writeln!(self.stream, "{line}").expect("send request");
+    }
+
+    /// The next response that is not a cache event.
+    fn answer(&mut self) -> Response {
+        loop {
+            let line = self
+                .lines
+                .next()
+                .expect("daemon closed the session")
+                .expect("read response");
+            match wire::parse_response(&line).expect("daemon wrote an unparseable line") {
+                Response::Event { .. } => {}
+                other => return other,
+            }
+        }
+    }
+
+    /// Runs a one-iteration `run`: once it is answered the session is
+    /// being served, and so registered with the batcher.
+    fn handshake(&mut self) {
+        let spec = RunSpec::laplace().nx(8).iterations(1).build();
+        self.send(&wire::run_request_line("hello", &spec));
+        assert!(matches!(self.answer(), Response::Record(_)));
+    }
+
+    /// Sends `done` and returns the session summary.
+    fn finish(mut self) -> ClientSummary {
+        self.send(&wire::done_request_line("bye"));
+        assert!(matches!(self.answer(), Response::Done { .. }));
+        self.daemon.join().expect("daemon thread")
+    }
+}
+
+fn eval_line(id: &str, control: &DVec) -> String {
+    wire::eval_request_line(id, 8, BackendKind::DenseLu, control)
+}
+
+fn cost_and_batch(response: Response) -> (f64, usize) {
+    match response {
+        Response::Cost { cost, batch, .. } => (cost, batch),
+        other => panic!("expected a cost line, got {other:?}"),
+    }
+}
+
+/// Two socket sessions each send one eval on one key: the batch is
+/// complete once both are queued, so both answer long before the window
+/// ends, from one shared solve, with the bits of a standalone `cost`.
+#[test]
+fn evals_from_every_live_session_close_the_window_early_and_share_one_solve() {
+    let server = long_window_server();
+    let problem = LaplaceControlProblem::new(8).expect("reference problem");
+    let controls: Vec<DVec> = (0..2)
+        .map(|k| DVec::from_fn(problem.n_controls(), |i| 0.1 * ((i + k) as f64).sin()))
+        .collect();
+    let mut clients = [Client::connect(&server), Client::connect(&server)];
+    for client in &mut clients {
+        client.handshake();
+    }
+    let start = Instant::now();
+    for (k, (client, control)) in clients.iter_mut().zip(&controls).enumerate() {
+        client.send(&eval_line(&format!("e{k}"), control));
+    }
+    for (client, control) in clients.iter_mut().zip(&controls) {
+        let (cost, batch) = cost_and_batch(client.answer());
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+        assert_eq!(batch, 2, "both sessions' evals share one solve");
+        assert_eq!(cost.to_bits(), problem.cost(control).unwrap().to_bits());
+    }
+    for client in clients {
+        let summary = client.finish();
+        assert_eq!((summary.evals, summary.errors), (1, 0), "{summary:?}");
+    }
+}
+
+/// With one live session its eval is the whole batch: no waiting.
+#[test]
+fn a_lone_session_does_not_wait_out_the_window() {
+    let server = long_window_server();
+    let problem = LaplaceControlProblem::new(8).expect("reference problem");
+    let control = DVec::from_fn(problem.n_controls(), |i| 0.05 * i as f64);
+    let requests = format!(
+        "{}\n{}\n",
+        eval_line("solo", &control),
+        wire::done_request_line("bye")
+    );
+    let start = Instant::now();
+    let (responses, summary) = piped_session(&server, requests);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "{:?}",
+        start.elapsed()
+    );
+    assert_eq!((summary.evals, summary.errors), (1, 0), "{summary:?}");
+    let (cost, batch) = responses
+        .into_iter()
+        .find_map(|r| match r {
+            Response::Cost { cost, batch, .. } => Some((cost, batch)),
+            _ => None,
+        })
+        .expect("the eval answers with a cost line");
+    assert_eq!(batch, 1);
+    assert_eq!(cost.to_bits(), problem.cost(&control).unwrap().to_bits());
+}
+
+/// An eval waiting for a second live session is answered once that
+/// session sends `done`, not when the window runs out.
+#[test]
+fn a_session_that_leaves_completes_the_batch_it_was_awaited_in() {
+    let server = long_window_server();
+    let problem = LaplaceControlProblem::new(8).expect("reference problem");
+    let control = DVec::from_fn(problem.n_controls(), |i| -0.02 * i as f64);
+    let mut leaving = Client::connect(&server);
+    leaving.handshake();
+    let mut asking = Client::connect(&server);
+    asking.handshake();
+    let start = Instant::now();
+    asking.send(&eval_line("waits", &control));
+    // The eval waits for the other live session until it says `done`.
+    let linger = Duration::from_millis(200);
+    std::thread::sleep(linger);
+    leaving.finish();
+    let (cost, batch) = cost_and_batch(asking.answer());
+    let waited = start.elapsed();
+    assert!(
+        waited >= linger && waited < Duration::from_secs(1),
+        "answered after {waited:?}"
+    );
+    assert_eq!(batch, 1);
+    assert_eq!(cost.to_bits(), problem.cost(&control).unwrap().to_bits());
+    asking.finish();
 }
 
 /// The ISSUE's serve smoke: four concurrent socket clients share one

@@ -3,12 +3,17 @@
 //! `_evict` counters, and the `serve_cache_bytes` gauge must never
 //! exceed the configured budget — the ISSUE's never-exceeds-
 //! `MESHFREE_CACHE_BYTES` acceptance gate, asserted from the trace
-//! stream rather than from cache internals.
+//! stream rather than from cache internals. Evals after the runs must
+//! report each batched solve's width and queue wait
+//! (`serve_batch_width`, `serve_batch_wait_ms`), so a trace alone
+//! separates serve queue time from solve time.
 //!
 //! One `#[test]` only: the trace sink is process-global, and this file
 //! compiles to its own test binary, so nothing else can race it.
 
-use meshfree_oc::control::RunSpec;
+use meshfree_oc::control::{BackendKind, RunSpec};
+use meshfree_oc::linalg::DVec;
+use meshfree_oc::pde::LaplaceControlProblem;
 use meshfree_oc::runtime::trace::{self, TraceEvent};
 use meshfree_oc::serve::wire;
 use meshfree_oc::serve::{FactorCache, ServeConfig, Server};
@@ -29,6 +34,9 @@ fn cache_counters_stream_and_the_bytes_gauge_never_exceeds_the_budget() {
             .memory_bytes()
     };
     let budget = measure(8) + measure(10);
+    let n_controls = LaplaceControlProblem::new(8)
+        .expect("reference problem")
+        .n_controls();
 
     let (sink, events) = trace::MemorySink::new();
     trace::set_sink(Box::new(sink));
@@ -45,6 +53,17 @@ fn cache_counters_stream_and_the_bytes_gauge_never_exceeds_the_budget() {
         requests.push_str(&wire::run_request_line(&format!("req-{i}"), &spec));
         requests.push('\n');
     }
+    let evals = 2;
+    for k in 0..evals {
+        let control = DVec::from_fn(n_controls, |i| 0.01 * (i + k) as f64);
+        requests.push_str(&wire::eval_request_line(
+            &format!("eval-{k}"),
+            8,
+            BackendKind::DenseLu,
+            &control,
+        ));
+        requests.push('\n');
+    }
     requests.push_str(&wire::done_request_line("bye"));
     requests.push('\n');
     let mut out = Vec::new();
@@ -52,6 +71,7 @@ fn cache_counters_stream_and_the_bytes_gauge_never_exceeds_the_budget() {
     trace::clear_sink();
 
     assert_eq!(summary.runs, sequence.len(), "{summary:?}");
+    assert_eq!(summary.evals, evals, "{summary:?}");
     assert!(summary.hits >= 1 && summary.misses >= 3, "{summary:?}");
 
     let events = events.lock().expect("sink events");
@@ -77,4 +97,14 @@ fn cache_counters_stream_and_the_bytes_gauge_never_exceeds_the_budget() {
         "the sequence overflows the budget, so evictions must be reported"
     );
     assert!(server.cache().bytes() <= budget);
+
+    // One session and a zero window: every eval is its own batch, and
+    // each batch reports its queue wait.
+    assert_eq!(counter("serve_batch_width"), vec![1.0; evals]);
+    let waits = counter("serve_batch_wait_ms");
+    assert_eq!(waits.len(), evals, "{waits:?}");
+    assert!(
+        waits.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "{waits:?}"
+    );
 }
